@@ -270,7 +270,7 @@ def _add_cosched_flags(p: argparse.ArgumentParser) -> None:
                    help="halve max-batch/max-wait while serving capacity "
                         "is derated")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=backend_names(), default="reference")
+    p.add_argument("--backend", choices=backend_names(), default="fused")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write the runtime's JSONL event timeline here")
     _add_profile_flag(p)
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--requests", type=int, default=4,
                        help="number of request batches to serve")
     infer.add_argument("--seed", type=int, default=0)
-    infer.add_argument("--backend", choices=backend_names(), default="reference")
+    infer.add_argument("--backend", choices=backend_names(), default="fused")
 
     serve = sub.add_parser(
         "serve", help="online serving with micro-batching and autoscaling")
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=_positive_int, default=None,
                        help="cap on admitted requests")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--backend", choices=backend_names(), default="reference")
+    serve.add_argument("--backend", choices=backend_names(), default="fused")
     serve.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write the runtime's JSONL event timeline here")
     _add_profile_flag(serve)

@@ -11,7 +11,8 @@ that physical half exactly once:
   the current mapping (rebuilt atomically on :meth:`remap`);
 * a precomputed ``device_id -> DeviceSpec`` table, so per-request latency
   accounting never scans the device list;
-* simulated-time queries (:meth:`step_time`, :meth:`inference_latency`);
+* simulated-time queries (:meth:`step_time`, :meth:`inference_latency`,
+  :meth:`batch_latency`);
 * the execution backend (:mod:`repro.core.backends`) that decides *how*
   waves run on the host.
 
@@ -28,6 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.backends import ExecutionBackend, get_backend
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
+from repro.core.sharding import shard_sizes
 from repro.core.virtual_node import VirtualNodeSet
 from repro.hardware.device import DeviceSpec, get_spec
 from repro.hardware.perfmodel import PerfModel
@@ -62,6 +64,8 @@ class VirtualNodeEngine:
         # The plan is immutable per mapping, so its predicted step time is a
         # constant — compute it once instead of once per training step.
         self._step_time = self.plan.step_time()
+        # Likewise each batch size's latency: priced once per mapping.
+        self._batch_latency: Dict[int, Tuple[float, int]] = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -91,6 +95,20 @@ class VirtualNodeEngine:
                 latency = t
                 waves = sum(1 for i in dp.vn_indices if shard_sizes[i] > 0)
         return latency, waves
+
+    def batch_latency(self, batch_size: int) -> Tuple[float, int]:
+        """:meth:`inference_latency` of a ``batch_size``-row batch, sharded
+        canonically.
+
+        Memoized per batch size until the next remap: a serving router
+        prices every micro-batch, but only a handful of distinct sizes
+        occur under one mapping.
+        """
+        hit = self._batch_latency.get(batch_size)
+        if hit is None:
+            hit = self.inference_latency(shard_sizes(self.vn_set, batch_size))
+            self._batch_latency[batch_size] = hit
+        return hit
 
     # -- elasticity ----------------------------------------------------------
 

@@ -38,7 +38,6 @@ import numpy as np
 from repro.core.engine import VirtualNodeEngine
 from repro.core.mapping import Mapping
 from repro.core.plan import ExecutionPlan
-from repro.core.sharding import shard_sizes
 from repro.core.state import VirtualNodeState, merged_eval_state, state_layout
 from repro.framework.layers import Module
 from repro.framework.models import Workload
@@ -168,7 +167,7 @@ class InferenceEngine:
         # Latency: bottleneck device's sequential forward waves (forward pass
         # ~1/3 of a full training wave in the analytic model's spirit; we use
         # the full wave time as a conservative envelope).
-        latency, waves = self.engine.inference_latency(shard_sizes(vn_set, len(x)))
+        latency, waves = self.engine.batch_latency(len(x))
         self.requests_served += 1
         self.sim_time += latency
         return InferenceResult(logits=logits, sim_latency=latency, waves=waves)

@@ -9,6 +9,7 @@ training, §5.2 "Data sharding") fall out of the same code path.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -26,9 +27,24 @@ def shard_sizes(vn_set: VirtualNodeSet, batch_size: int) -> List[int]:
     (e.g. evaluation slices) by proportional allocation with largest-remainder
     rounding, preserving Σ = batch_size.
     """
+    return list(_split(vn_set, batch_size))
+
+
+def shard_indices(vn_set: VirtualNodeSet, batch_size: int) -> List[Tuple[int, int]]:
+    """Contiguous [start, end) slices of the batch, one per virtual node."""
+    return list(_bounds(vn_set, batch_size))
+
+
+# The split is a pure function of (node sizes, batch size), and a serving
+# router asks for the same few micro-batch sizes on every dispatch, so both
+# forms are memoized.  The caches hold tuples; the public functions hand out
+# fresh lists, so a caller mutating its answer cannot corrupt the cache.
+
+@lru_cache(maxsize=4096)
+def _split(vn_set: VirtualNodeSet, batch_size: int) -> Tuple[int, ...]:
     total = vn_set.global_batch_size
     if batch_size == total:
-        return vn_set.sizes
+        return tuple(vn_set.sizes)
     if batch_size < 0:
         raise ValueError(f"batch_size must be >= 0, got {batch_size}")
     exact = [n.batch_size * batch_size / total for n in vn_set]
@@ -38,12 +54,12 @@ def shard_sizes(vn_set: VirtualNodeSet, batch_size: int) -> List[int]:
     order = sorted(range(len(exact)), key=lambda i: (floors[i] - exact[i], i))
     for i in order[:remainder]:
         floors[i] += 1
-    return floors
+    return tuple(floors)
 
 
-def shard_indices(vn_set: VirtualNodeSet, batch_size: int) -> List[Tuple[int, int]]:
-    """Contiguous [start, end) slices of the batch, one per virtual node."""
-    sizes = shard_sizes(vn_set, batch_size)
+@lru_cache(maxsize=4096)
+def _bounds(vn_set: VirtualNodeSet, batch_size: int) -> Tuple[Tuple[int, int], ...]:
+    sizes = _split(vn_set, batch_size)
     bounds: List[Tuple[int, int]] = []
     start = 0
     for s in sizes:
@@ -51,7 +67,7 @@ def shard_indices(vn_set: VirtualNodeSet, batch_size: int) -> List[Tuple[int, in
         start += s
     if start != batch_size:
         raise AssertionError(f"shard sizes {sizes} do not cover batch {batch_size}")
-    return bounds
+    return tuple(bounds)
 
 
 def shard_batch(vn_set: VirtualNodeSet, x: np.ndarray, y: np.ndarray,

@@ -38,6 +38,10 @@ class VirtualNodeSet:
         self.nodes: Tuple[VirtualNode, ...] = tuple(
             VirtualNode(index=i, batch_size=int(s)) for i, s in enumerate(sizes)
         )
+        # Sets key the sharding caches, so equality and hashing read one
+        # precomputed tuple instead of rebuilding the size list per lookup.
+        self._sizes: Tuple[int, ...] = tuple(n.batch_size for n in self.nodes)
+        self._hash = hash(self._sizes)
 
     @classmethod
     def even(cls, global_batch_size: int, num_virtual_nodes: int) -> "VirtualNodeSet":
@@ -71,7 +75,7 @@ class VirtualNodeSet:
 
     @property
     def sizes(self) -> List[int]:
-        return [n.batch_size for n in self.nodes]
+        return list(self._sizes)
 
     @property
     def is_even(self) -> bool:
@@ -89,10 +93,10 @@ class VirtualNodeSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VirtualNodeSet):
             return NotImplemented
-        return self.sizes == other.sizes
+        return self._sizes == other._sizes
 
     def __hash__(self) -> int:
-        return hash(tuple(self.sizes))
+        return self._hash
 
     def __repr__(self) -> str:
         if self.is_even:

@@ -247,7 +247,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
                 min_devices: int = 1, cooldown: float = 0.25,
                 train_floor: int = 0, resize_delay: float = 0.5,
                 scheduler: Optional[Scheduler] = None,
-                backend: object = "reference", seed: int = 0,
+                backend: object = "fused", seed: int = 0,
                 limit: Optional[int] = None,
                 source: Optional[RequestSource] = None,
                 trace: Optional[Union[str, EventTrace]] = None,

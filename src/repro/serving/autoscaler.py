@@ -245,7 +245,7 @@ class LatencyAutoscaler:
     def observe(self, records: Sequence[RequestRecord], now: float,
                 devices: int) -> Optional[int]:
         """Fold a completed micro-batch in; return a new device count or None."""
-        self._arrivals.extend(r.arrival_time for r in records)
+        self._arrivals.extend([r.arrival_time for r in records])
         self._hist.observe_many([r.latency for r in records])
         if len(self._arrivals) < self.burst_window:
             return None
@@ -254,15 +254,17 @@ class LatencyAutoscaler:
         if rate_burst is None or rate_long is None:
             return None
 
+        # The p99 is read only where a rule needs it: most completions
+        # decide on the rate tests alone.
         tail_ok = len(self._hist) >= self.min_samples
-        p99 = self._hist.percentile(99) if tail_ok else 0.0
 
         # Feedforward: the observed rate does not fit this allocation.
         up_k = self._smallest_fitting(rate_burst, self.headroom)
         # Feedback: the tail breached while genuinely near capacity (an
         # over-provisioned breach is just backlog draining).
-        breached = (tail_ok and p99 > self.slo_p99
-                    and rate_burst > self.down_headroom * self._capacity_at(devices))
+        breached = (tail_ok
+                    and rate_burst > self.down_headroom * self._capacity_at(devices)
+                    and self._hist.percentile(99) > self.slo_p99)
         if up_k > devices or breached:
             self._up_streak += 1
             self._down_streak = 0
@@ -275,7 +277,8 @@ class LatencyAutoscaler:
         down_k = self._smallest_fitting(
             max(rate_long, rate_burst), self.down_headroom, respect_floor=True)
         if (down_k < devices and tail_ok
-                and p99 < self.slo_p99 * self.scale_down_margin):
+                and self._hist.percentile(99)
+                < self.slo_p99 * self.scale_down_margin):
             self._down_streak += 1
             if (self._down_streak >= self.persistence
                     and (self._last_action is None

@@ -300,17 +300,22 @@ class ServingGateway(RequestRouter):
         self._lat_by_tenant: Dict[str, List[float]] = {
             t: [] for t in self.registry.tenant_ids}
         self._shed_counts: Counter = Counter()
-        self._tenant_hists: Dict[str, StreamingHistogram] = {
-            t: StreamingHistogram() for t in self.registry.tenant_ids}
 
     def live_tenant_histograms(self) -> Dict[str, StreamingHistogram]:
-        """Per-tenant streaming latency histograms, updated per batch.
+        """Per-tenant streaming latency histograms of the run so far.
 
-        An O(bins) live view of each tenant's latency distribution —
-        dashboards can poll quantiles mid-run without touching the exact
-        per-request lists the final report is computed from.
+        Built on demand from the per-tenant latency lists the gateway keeps
+        anyway, so a completion pays nothing for them: dashboards that poll
+        quantiles mid-run pay one bulk insert per tenant per poll instead.
+        Each call returns fresh histograms; mutating one leaves the run
+        untouched.
         """
-        return dict(self._tenant_hists)
+        hists: Dict[str, StreamingHistogram] = {}
+        for tenant, latencies in self._lat_by_tenant.items():
+            hist = StreamingHistogram()
+            hist.observe_many(latencies)
+            hists[tenant] = hist
+        return hists
 
     # -- the journal ----------------------------------------------------------
 
@@ -625,18 +630,13 @@ class ServingGateway(RequestRouter):
 
     def _record_completion(self, records: List[RequestRecord]) -> None:
         # Incremental per-tenant accounting: append-only latency lists (the
-        # finalize digests read these — no per-call rebuild) plus a live
-        # streaming histogram per tenant.
+        # finalize digests and live_tenant_histograms read these — no
+        # per-call rebuild).
         lat_map = self._lat_by_tenant
-        batch_lat: Dict[str, List[float]] = {}
         for r in records:
             lst = lat_map.get(r.tenant)
             if lst is not None:
-                latency = r.completion_time - r.arrival_time
-                lst.append(latency)
-                batch_lat.setdefault(r.tenant, []).append(latency)
-        for tenant, values in batch_lat.items():
-            self._tenant_hists[tenant].observe_many(values)
+                lst.append(r.completion_time - r.arrival_time)
         if self._journal is None:
             return
         # Sorted key order: arrival < batch_id < completion < dispatch <

@@ -53,7 +53,6 @@ from repro.core.engine import VirtualNodeEngine
 from repro.core.inference import InferenceEngine
 from repro.core.mapping import Mapping
 from repro.core.plan import PlanValidationError
-from repro.core.sharding import shard_sizes
 from repro.core.state import migration_time
 from repro.core.virtual_node import VirtualNodeSet
 from repro.data import make_dataset
@@ -134,7 +133,6 @@ def capacity_table(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
     them.
     """
     ids = sorted(d.device_id for d in pool.devices)
-    sizes = shard_sizes(vn_set, max_batch)
     profiles: Dict[int, AllocationProfile] = {}
     for k in range(1, min(len(ids), vn_set.num_nodes) + 1):
         try:
@@ -142,7 +140,7 @@ def capacity_table(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
             engine = VirtualNodeEngine(workload, mapping, perf=perf)
         except PlanValidationError:
             continue
-        latency, _ = engine.inference_latency(sizes)
+        latency, _ = engine.batch_latency(max_batch)
         if latency > 0:
             profiles[k] = AllocationProfile(
                 devices=k, capacity_rps=max_batch / latency,
@@ -934,7 +932,7 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
                    initial_devices: Optional[int] = None,
                    autoscale: bool = False, slo_p99: Optional[float] = None,
                    min_devices: int = 1, cooldown: float = 0.25,
-                   backend: object = "reference", seed: int = 0,
+                   backend: object = "fused", seed: int = 0,
                    limit: Optional[int] = None,
                    source: Optional[RequestSource] = None,
                    collect_logits: bool = False,

@@ -10,8 +10,8 @@ checks.
 accumulator of per-request latencies with percentile queries (p50/p99 are
 what SLOs are written against) and an optional sliding window, which is what
 the serving autoscaler watches to decide when to remap.  Its percentiles
-are exact; repeated queries over an unchanged window reuse a cached sorted
-view instead of re-sorting.  :class:`StreamingHistogram` is the approximate
+are exact; a windowed histogram keeps its window sorted incrementally, so
+no query ever re-sorts.  :class:`StreamingHistogram` is the approximate
 sibling for million-request runs: fixed log-spaced bins give O(1) insert
 and O(bins) quantiles with a bounded relative error, trading exactness for
 a footprint independent of the observation count.
@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import os
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -77,12 +78,70 @@ def summary_stats(values: List[float]) -> Dict[str, float]:
     }
 
 
+def _rejection(value: float) -> str:
+    if value < 0:
+        return f"latencies cannot be negative, got {value}"
+    return f"latencies must be finite, got {value}"
+
+
+def _checked(values: Iterable[float]) -> List[float]:
+    """``values`` as plain floats, rejecting negative and non-finite ones.
+
+    NaN passes a bare ``< 0`` test, and one NaN would silently corrupt an
+    ordered window (it compares false both ways), so the test is the
+    single chained ``0 <= v < inf``, false for NaN and both infinities.
+    """
+    if isinstance(values, np.ndarray):
+        out = values.astype(float, copy=False).ravel().tolist()
+    else:
+        out = [float(v) for v in values]
+    for v in out:
+        if not 0.0 <= v < math.inf:
+            raise ValueError(_rejection(v))
+    return out
+
+
+def _sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """``np.percentile(ordered, q)`` of an ascending sequence, bit for bit.
+
+    A scalar replica of numpy's default ``linear`` method: the same virtual
+    index ``(n - 1) * (q / 100)``, the same clamp to the last element at or
+    past ``n - 1``, and the same two-sided lerp (``b - (b - a) * (1 - t)``
+    from ``t >= 0.5`` on), so every result rounds exactly as numpy's does
+    — without building an array per query.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        return ordered[-1]
+    lo = math.floor(virtual)
+    t = virtual - lo
+    a = ordered[lo]
+    b = ordered[lo + 1]
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
+
+
 class LatencyHistogram:
-    """Streaming latency accumulator with percentile queries.
+    """Streaming latency accumulator with exact percentile queries.
 
     ``window=None`` keeps every observation (whole-run reports); a positive
     ``window`` keeps only the most recent N (the autoscaler's view of "how is
-    the service doing *right now*").  Values are seconds by convention.
+    the service doing *right now*").  Values are seconds by convention and
+    must be finite and non-negative.
+
+    A windowed histogram keeps its window sorted incrementally next to the
+    insertion-order FIFO: each insert evicts the oldest value by bisection
+    and bisects the new one in, so a query never sorts.  The autoscaler
+    observes and queries on every micro-batch completion, where a fresh
+    sort per query was the dominant telemetry cost.  An unbounded
+    histogram sorts lazily instead, once per batch of queries over
+    unchanged data.  Both answer through :func:`_sorted_percentile`, which
+    is bit-identical to ``np.percentile`` over the same values.
     """
 
     def __init__(self, window: Optional[int] = None) -> None:
@@ -90,47 +149,49 @@ class LatencyHistogram:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self._values: deque = deque(maxlen=window)
-        # Sorted view of the current window, rebuilt lazily: the
-        # autoscaler queries p99 every rescale tick, usually with few or
-        # no new observations in between — re-sorting each query was the
-        # dominant telemetry cost.  np.percentile is permutation-
-        # invariant, so querying the cached sorted array is bit-identical
-        # to sorting the raw window on every call.
-        self._sorted: Optional[np.ndarray] = None
+        # Ascending copy of _values: always current for a window, rebuilt
+        # on demand (None when stale) without one.
+        self._sorted: Optional[List[float]] = [] if window else None
 
     def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"latencies cannot be negative, got {value}")
-        self._values.append(float(value))
-        self._sorted = None
+        self.observe_many((value,))
 
     def observe_many(self, values: Iterable[float]) -> None:
-        arr = np.asarray(values if isinstance(values, (np.ndarray, list))
-                         else list(values), dtype=float)
-        if arr.size == 0:
-            return
-        if bool((arr < 0).any()):
-            bad = float(arr[arr < 0][0])
-            raise ValueError(f"latencies cannot be negative, got {bad}")
-        self._values.extend(arr.tolist())
-        self._sorted = None
+        values = _checked(values)
+        window = self.window
+        fifo = self._values
+        if window is None:
+            fifo.extend(values)
+            self._sorted = None
+        elif len(values) >= window:
+            # Only the newest `window` values survive: rebuild outright.
+            fifo.clear()
+            fifo.extend(values[-window:])
+            self._sorted = sorted(fifo)
+        else:
+            ordered = self._sorted
+            for v in values:
+                if len(fifo) == window:
+                    del ordered[bisect_left(ordered, fifo[0])]
+                fifo.append(v)
+                insort(ordered, v)
 
     def __len__(self) -> int:
         return len(self._values)
 
     def clear(self) -> None:
         self._values.clear()
-        self._sorted = None
+        self._sorted = [] if self.window else None
 
-    def _view(self) -> np.ndarray:
+    def _view(self) -> List[float]:
         if self._sorted is None:
-            self._sorted = np.sort(np.asarray(self._values, dtype=float))
+            self._sorted = sorted(self._values)
         return self._sorted
 
     def percentile(self, q: float) -> float:
         if not self._values:
             raise ValueError("no values to take a percentile of")
-        return float(np.percentile(self._view(), q))
+        return _sorted_percentile(self._view(), q)
 
     def stats(self) -> Dict[str, float]:
         """The :func:`summary_stats` of the (windowed) observations."""
@@ -144,11 +205,11 @@ class LatencyHistogram:
         return {
             "mean": float(raw.mean()),
             "std": float(raw.std()),
-            "min": float(view[0]),
-            "max": float(view[-1]),
-            "p50": float(np.percentile(view, 50)),
-            "p95": float(np.percentile(view, 95)),
-            "p99": float(np.percentile(view, 99)),
+            "min": view[0],
+            "max": view[-1],
+            "p50": _sorted_percentile(view, 50),
+            "p95": _sorted_percentile(view, 95),
+            "p99": _sorted_percentile(view, 99),
             "count": float(len(self._values)),
         }
 
@@ -166,10 +227,11 @@ class StreamingHistogram:
     relative quantile error at ~2% — well inside the noise of a p99 SLO
     check, which is what the serving benchmark uses it for.
 
-    Values at or below zero (or under ``min_value``) land in an underflow
+    Zero (or anything under ``min_value``) lands in an underflow
     bin pinned at ``min_value``; values beyond ``max_value`` clamp to the
-    last bin.  Exact min/max/sum are tracked on the side so ``mean``,
-    ``min`` and ``max`` stay exact; only interior quantiles are binned.
+    last bin; negative and non-finite values are rejected.  Exact
+    min/max/sum are tracked on the side so ``mean``, ``min`` and ``max``
+    stay exact; only interior quantiles are binned.
     """
 
     def __init__(self, *, bins_per_decade: int = 128,
@@ -197,8 +259,8 @@ class StreamingHistogram:
         return np.exp(self._log_min + idx / self._scale)
 
     def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"latencies cannot be negative, got {value}")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(_rejection(value))
         if value <= self.min_value:
             idx = 0
         else:
@@ -215,9 +277,9 @@ class StreamingHistogram:
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             return
-        if bool((arr < 0).any()):
-            bad = float(arr[arr < 0][0])
-            raise ValueError(f"latencies cannot be negative, got {bad}")
+        bad = ~((arr >= 0) & (arr < math.inf))
+        if bool(bad.any()):
+            raise ValueError(_rejection(float(arr[bad][0])))
         idx = np.zeros(arr.shape, dtype=np.int64)
         above = arr > self.min_value
         if bool(above.any()):

@@ -188,3 +188,26 @@ class TestRemap:
         mapping = Mapping.even(vn_set, Cluster.homogeneous("V100", 1))
         with pytest.raises(PlanValidationError):
             InferenceEngine(wl, wl.build_model(0), mapping)
+
+    def test_latency_memo_repriced_by_remap(self, batch):
+        engine = _engine(num_devices=2, num_vns=8)
+        sizes = (1, 5, 10, 32)
+        before = {n: engine.predict(batch[:n]).sim_latency for n in sizes}
+        engine.remap(Mapping.even(engine.mapping.vn_set,
+                                  Cluster.homogeneous("V100", 4)))
+        fresh = _engine(num_devices=4, num_vns=8)
+        for n in sizes:
+            assert engine.engine.batch_latency(n) == fresh.engine.batch_latency(n)
+            assert (engine.predict(batch[:n]).sim_latency
+                    == fresh.predict(batch[:n]).sim_latency)
+        # More devices, fewer waves: the memo really was repriced.
+        assert engine.predict(batch).sim_latency < before[32]
+
+    def test_batch_latency_matches_explicit_shard_pricing(self, batch):
+        from repro.core import shard_sizes
+
+        engine = _engine(num_devices=2, num_vns=8).engine
+        for n in (1, 3, 7, 32, 40):
+            expected = engine.inference_latency(shard_sizes(engine.vn_set, n))
+            assert engine.batch_latency(n) == expected
+            assert engine.batch_latency(n) == expected  # memo hit

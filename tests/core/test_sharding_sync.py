@@ -30,6 +30,17 @@ class TestSharding:
         bounds = shard_indices(vns, 10)
         assert bounds == [(0, 3), (3, 8), (8, 10)]
 
+    def test_memoized_answers_are_fresh_lists(self):
+        vns = VirtualNodeSet.uneven([3, 5, 2])
+        sizes = shard_sizes(vns, 7)
+        bounds = shard_indices(vns, 7)
+        sizes[0] += 100
+        bounds.clear()
+        assert shard_sizes(vns, 7) == [2, 4, 1]
+        assert shard_indices(vns, 7) == [(0, 2), (2, 6), (6, 7)]
+        # Equal sets share one cache entry; the answer is the same either way.
+        assert shard_sizes(VirtualNodeSet.uneven([3, 5, 2]), 7) == [2, 4, 1]
+
     def test_shard_batch_exactly_once(self):
         vns = VirtualNodeSet.uneven([4, 2, 2])
         x = np.arange(8)

@@ -333,3 +333,61 @@ class TestIncrementalTenantAccounting:
             [(r.tenant, r.latency) for r in report.records],
             [tenant for _, _, tenant, _ in report.tenant_shed],
         ) == report.tenants
+
+
+class TestLiveTenantHistograms:
+    def test_on_demand_matches_batch_by_batch_feed(self, monkeypatch):
+        from itertools import groupby
+
+        from repro.serving.gateway import ServingGateway
+        from repro.telemetry import StreamingHistogram
+
+        seen = {}
+        finalize = ServingGateway._finalize
+
+        def capture(self):
+            finalize(self)
+            seen["live"] = self.live_tenant_histograms()
+
+        monkeypatch.setattr(ServingGateway, "_finalize", capture)
+        report = _serve(spec="prem:class=premium,weight=4,share=300;"
+                             "be:class=best_effort,weight=1,share=600",
+                        rate=900.0, duration=0.5, pool_devices=2)
+        live = seen["live"]
+        assert set(live) == {"prem", "be"}
+
+        # The per-batch feed the gateway used to keep live.
+        fed = {t: StreamingHistogram() for t in live}
+        for _, batch in groupby(report.records, key=lambda r: r.batch_id):
+            per_tenant = {}
+            for r in batch:
+                per_tenant.setdefault(r.tenant, []).append(
+                    r.completion_time - r.arrival_time)
+            for tenant, values in per_tenant.items():
+                fed[tenant].observe_many(values)
+
+        for tenant, hist in live.items():
+            ref = fed[tenant]
+            assert hist.count == ref.count > 0
+            np.testing.assert_array_equal(hist._counts, ref._counts)
+            got, want = hist.stats(), ref.stats()
+            for key in ("min", "max", "p50", "p95", "p99", "count"):
+                assert got[key] == want[key], (tenant, key)
+            assert got["mean"] == pytest.approx(want["mean"], rel=1e-12)
+
+    def test_each_call_is_a_fresh_snapshot(self, monkeypatch):
+        from repro.serving.gateway import ServingGateway
+
+        seen = {}
+        finalize = ServingGateway._finalize
+
+        def capture(self):
+            finalize(self)
+            first = self.live_tenant_histograms()
+            first["prem"].clear()
+            seen["again"] = self.live_tenant_histograms()
+
+        monkeypatch.setattr(ServingGateway, "_finalize", capture)
+        report = _serve(duration=0.2)
+        served = sum(1 for r in report.records if r.tenant == "prem")
+        assert len(seen["again"]["prem"]) == served > 0

@@ -179,7 +179,7 @@ class TestSubcommandParsing:
         assert args.autoscale is False
         assert args.max_batch >= 1
         assert args.slo_p99 > 0
-        assert args.backend == "reference"
+        assert args.backend == "fused"
 
     def test_cosched_defaults(self):
         args = build_parser().parse_args(VALID_ARGS["cosched"])

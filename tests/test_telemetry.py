@@ -6,6 +6,7 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import TrainerConfig, VirtualFlowTrainer
 from repro.telemetry import TelemetryRecorder, summary_stats
@@ -199,3 +200,173 @@ class TestStreamingHistogram:
         assert 0.0 <= hist.percentile(99) <= 5.0
         with pytest.raises(ValueError):
             hist.observe(-1.0)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("window", [None, 4])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_latency_histogram(self, window, bad):
+        import numpy as np
+
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram(window=window)
+        hist.observe_many([0.003, 0.001])
+        with pytest.raises(ValueError):
+            hist.observe(bad)
+        with pytest.raises(ValueError):
+            hist.observe_many([0.002, bad])
+        with pytest.raises(ValueError):
+            hist.observe_many(np.array([0.002, bad]))
+        # A rejected batch inserts nothing, so the window stays exact.
+        assert list(hist._values) == [0.003, 0.001]
+        assert hist.percentile(100) == 0.003
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_streaming_histogram(self, bad):
+        import numpy as np
+
+        from repro.telemetry import StreamingHistogram
+
+        hist = StreamingHistogram()
+        hist.observe_many([0.003, 0.001])
+        with pytest.raises(ValueError):
+            hist.observe(bad)
+        with pytest.raises(ValueError):
+            hist.observe_many([0.002, bad])
+        with pytest.raises(ValueError):
+            hist.observe_many(np.array([0.002, bad]))
+        assert hist.count == 2
+        assert hist.stats()["max"] == 0.003
+
+
+def _bits(x):
+    import numpy as np
+
+    return np.float64(x).tobytes()
+
+
+_QS = (0, 1, 50, 95, 99, 99.9, 100)
+# Few distinct values make duplicates and ties common; the float range
+# covers the rest (no NaN/inf: those are rejected on insert).
+_latency = st.one_of(
+    st.sampled_from([0.0, 0.001, 0.002, 0.0025, 1.0]),
+    st.floats(min_value=0.0, max_value=10.0,
+              allow_nan=False, allow_infinity=False))
+_op = st.one_of(
+    st.tuples(st.just("observe"), _latency),
+    st.tuples(st.just("observe_many"), st.lists(_latency, max_size=80)),
+    st.tuples(st.just("clear"), st.none()))
+
+
+class TestWindowMatchesNumpy:
+    @settings(max_examples=150, deadline=None)
+    @given(window=st.integers(min_value=1, max_value=64),
+           ops=st.lists(_op, max_size=40))
+    def test_percentiles_and_stats_bit_exact(self, window, ops):
+        import numpy as np
+
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram(window=window)
+        seen = []
+        for kind, arg in ops:
+            if kind == "observe":
+                hist.observe(arg)
+                seen.append(arg)
+            elif kind == "observe_many":
+                hist.observe_many(arg)
+                seen.extend(arg)
+            else:
+                hist.clear()
+                seen = []
+            current = seen[-window:]
+            assert len(hist) == len(current)
+            if not current:
+                continue
+            arr = np.asarray(current, dtype=float)
+            for q in _QS:
+                assert _bits(hist.percentile(q)) == _bits(np.percentile(arr, q))
+            stats = hist.stats()
+            expected = summary_stats(current)
+            for key, value in expected.items():
+                assert _bits(stats[key]) == _bits(value), key
+            assert stats["count"] == len(current)
+
+    def test_rejects_out_of_range_q(self):
+        from repro.telemetry import LatencyHistogram
+
+        hist = LatencyHistogram(window=4)
+        hist.observe(0.001)
+        for q in (-1, 100.5, float("nan")):
+            with pytest.raises(ValueError):
+                hist.percentile(q)
+
+
+class _NumpyWindow:
+    """Reference window: numpy re-sorts and recomputes on every query."""
+
+    def __init__(self, window):
+        from collections import deque
+
+        self._values = deque(maxlen=window)
+
+    def observe_many(self, values):
+        self._values.extend(values)
+
+    def percentile(self, q):
+        import numpy as np
+
+        return float(np.percentile(np.asarray(self._values, dtype=float), q))
+
+    def clear(self):
+        self._values.clear()
+
+    def __len__(self):
+        return len(self._values)
+
+
+class TestAutoscalerMatchesNumpyReference:
+    def test_decisions_on_a_seeded_stream(self):
+        import numpy as np
+
+        from repro.serving import LatencyAutoscaler
+        from repro.serving.request import RequestRecord
+
+        capacity = {1: 500.0, 2: 1000.0, 4: 2000.0, 8: 4000.0}
+        fast = LatencyAutoscaler(0.030, capacity, cooldown=0.2)
+        slow = LatencyAutoscaler(0.030, capacity, cooldown=0.2)
+        slow._hist = _NumpyWindow(32)
+
+        rng = np.random.default_rng(11)
+        devices_fast = devices_slow = 1
+        t, rid = 0.0, 0
+        for batch_id in range(1500):
+            # Load swings between quiet and hot phases; latency is heavy
+            # tailed and inflated while under-provisioned, with ties.
+            rate = (300.0, 1800.0, 3500.0, 600.0)[(batch_id // 150) % 4]
+            size = int(rng.integers(1, 17))
+            arrivals = t + np.cumsum(rng.exponential(1.0 / rate, size))
+            t = float(arrivals[-1])
+            base = 0.004 * rate / capacity[devices_fast]
+            latency = round(float(base * rng.lognormal(0.0, 0.8)), 4)
+            records = [
+                RequestRecord(request_id=rid + i, arrival_time=float(a),
+                              dispatch_time=t, completion_time=t + latency,
+                              batch_id=batch_id, batch_size=size,
+                              devices=devices_fast)
+                for i, a in enumerate(arrivals)]
+            rid += size
+            got = fast.observe(records, t + latency, devices_fast)
+            want = slow.observe(records, t + latency, devices_slow)
+            assert got == want, batch_id
+            if got is not None:
+                devices_fast = devices_slow = got
+        assert fast.decisions == slow.decisions
+        ups = [d for d in fast.decisions if d.new_devices > d.old_devices]
+        downs = [d for d in fast.decisions if d.new_devices < d.old_devices]
+        assert ups and downs
+        assert any(d.p99 > 0 for d in fast.decisions)
