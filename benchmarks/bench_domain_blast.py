@@ -24,7 +24,7 @@ the co-scheduler's derate-aware budget arbitration are exercised in the
 same runs.
 
 Everything is simulated time, deterministic in the pinned seeds, and
-re-verified cell-for-cell under both queue backends — so the gates have no
+re-verified cell-for-cell across repeated runs — so the gates have no
 noise tolerance and never retry.  Results persist as
 ``results/domain_blast.txt`` and ``results/BENCH_domain_blast.json``.
 ``--smoke`` runs a tiny trace with no gate, for CI breakage detection.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from _common import report, save_bench_json
 from repro.chaos import (ECCThrottle, FailureDomainTopology, FaultPlan,
@@ -102,8 +102,7 @@ def _plan(radius: int, smoke: bool) -> FaultPlan:
         topology=topology, min_healthy=1)
 
 
-def _run_policy(policy: str, radius: int, smoke: bool,
-                queue_backend: Optional[str] = None):
+def _run_policy(policy: str, radius: int, smoke: bool):
     train_specs = resident_training_jobs(TRAIN_JOBS, demand_gpus=TRAIN_DEMAND,
                                          workload=TRAIN_WORKLOAD)
     return run_cosched(
@@ -113,13 +112,11 @@ def _run_policy(policy: str, radius: int, smoke: bool,
         resize_delay=RESIZE_DELAY, seed=SEED,
         fault_plan=_plan(radius, smoke), recovery=RECOVERY,
         topology=_topology(radius),
-        admission=SHED_POLICY if policy == "shed" else None,
-        queue_backend=queue_backend)
+        admission=SHED_POLICY if policy == "shed" else None)
 
 
-def _cell(policy: str, radius: int, smoke: bool,
-          queue_backend: Optional[str] = None) -> Dict:
-    rep = _run_policy(policy, radius, smoke, queue_backend=queue_backend)
+def _cell(policy: str, radius: int, smoke: bool) -> Dict:
+    rep = _run_policy(policy, radius, smoke)
     summary = rep.summary(slo_p99=SLO_P99)
     chaos = rep.chaos or {}
     return {
@@ -236,17 +233,12 @@ def test_shed_rate_grows_with_blast_radius():
         assert point["cells"]["noshed"]["shed_requests"] == 0
 
 
-def test_domain_blast_deterministic_across_backends_and_runs():
-    """The hardest cell replays bit-identically: two seeded runs agree, and
-    the heap and calendar queue backends agree with both."""
+def test_domain_blast_deterministic_across_runs():
+    """The hardest cell replays bit-identically: two seeded runs agree."""
     radius = RADII[-1]
     first = _cell("shed", radius, smoke=False)
     again = _cell("shed", radius, smoke=False)
     assert first == again, "two seeded runs of the same cell disagree"
-    for backend in ("heap", "calendar"):
-        cell = _cell("shed", radius, smoke=False, queue_backend=backend)
-        assert cell == first, (
-            f"queue backend {backend!r} disagrees with the default run")
 
 
 def main(argv=None) -> int:

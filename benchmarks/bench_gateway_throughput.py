@@ -14,21 +14,16 @@ finalize.
 The baseline subclasses the live gateway for the event-dispatch machinery
 this PR did not touch, but every method the PR rewrote is pinned to its
 pre-PR body, copied verbatim, so the baseline cannot silently inherit later
-optimizations.  The current stack runs the same replay twice:
+optimizations.  The current stack (**wave**) runs the same replay with
+wave-at-a-time arrival consumption, vectorized tenant metering, bulk WFQ
+pushes, and fused journal lines.
 
-* **per-request oracle** — ``admission_mode="per_request"``: the reference
-  decision loop over the new source/journal plumbing, isolating how much of
-  the win is wave admission vs bulk journaling;
-* **wave** — ``admission_mode="wave"`` (the default): wave-at-a-time
-  arrival consumption, vectorized tenant metering, bulk WFQ pushes, and
-  fused journal lines.
-
-All three variants make identical admission decisions and write
-byte-identical journals — the gate asserts it (and the golden-trace suite
-pins it per fixture); this file is about wall clock.  Results persist as
-``results/gateway_throughput.txt`` and ``results/BENCH_gateway_throughput
-.json``.  ``--smoke`` runs a small replay with an absolute requests/sec
-floor for the wave path.
+Both variants make identical admission decisions and write byte-identical
+journals — the gate asserts it (and the golden-trace suite pins the
+current stack per fixture); this file is about wall clock.  Results
+persist as ``results/gateway_throughput.txt`` and
+``results/BENCH_gateway_throughput.json``.  ``--smoke`` runs a small
+replay with an absolute requests/sec floor for the wave path.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import io
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -78,8 +73,8 @@ SEED = 7
 
 SMOKE_REQUESTS = 20_000
 # Absolute floor for the wave path in --smoke: the wave path clears it by
-# well over 2x even on a noisy runner, while regressing to per-request
-# admission (~40-50k req/s on the same replay) trips it immediately.
+# well over 2x even on a noisy runner, while a per-request admission loop
+# (~40-50k req/s on the same replay) trips it immediately.
 SMOKE_FLOOR_RPS = 60_000.0
 
 
@@ -146,12 +141,10 @@ class _LegacyGateway(ServingGateway):
     Every method this PR rewrote carries its pre-PR body verbatim; the
     ``super()`` calls of the originals are spelled as ``RequestRouter``
     calls here so they jump over the optimized gateway layer instead of
-    re-entering it.
+    re-entering it.  Router methods the live code no longer has
+    (``_shed_reason``, ``RequestRouter._record_shed``) are copied in
+    verbatim too.
     """
-
-    def __init__(self, *args, **kwargs):
-        kwargs["admission_mode"] = "per_request"
-        super().__init__(*args, **kwargs)
 
     def _admit(self, until):
         while True:
@@ -198,8 +191,21 @@ class _LegacyGateway(ServingGateway):
                 wait_limit = wait_limit / 2
         return self._shed_reason(request, depth_limit, wait_limit)
 
+    def _shed_reason(self, request, depth_limit, wait_limit):
+        if depth_limit is not None and len(self._pending) >= depth_limit:
+            return "depth"
+        if wait_limit is not None and self._service_estimate > 0:
+            backlog = max(0.0, self._server_free - request.arrival_time)
+            batches_ahead = (
+                len(self._pending) // self._policy_now().max_batch + 1)
+            estimate = backlog + batches_ahead * self._service_estimate
+            if estimate > wait_limit:
+                return "wait"
+        return None
+
     def _record_shed(self, request, reason):
-        RequestRouter._record_shed(self, request, reason)
+        self.report.shed.append(
+            (request.arrival_time, request.request_id, reason))
         tenant = request.tenant if request.tenant is not None else ""
         self.report.tenant_shed.append(
             (request.arrival_time, request.request_id, tenant, reason))
@@ -240,8 +246,8 @@ class _LegacyGateway(ServingGateway):
 # --------------------------------------------------------------------------
 
 def _build(n: int, variant: str):
-    """One fully wired gateway for ``variant`` in {legacy, per_request,
-    wave}, journaling to an in-memory sink."""
+    """One fully wired gateway for ``variant`` in {legacy, wave},
+    journaling to an in-memory sink."""
     registry = TenantRegistry.from_spec(REGISTRY_SPEC)
     workload = get_workload("mlp_synthetic")
     pool = Cluster.homogeneous("V100", 1)
@@ -261,8 +267,7 @@ def _build(n: int, variant: str):
     if variant == "legacy":
         gateway = _LegacyGateway(engine, source, registry, **kwargs)
     else:
-        gateway = ServingGateway(engine, source, registry,
-                                 admission_mode=variant, **kwargs)
+        gateway = ServingGateway(engine, source, registry, **kwargs)
     return gateway, source, sink
 
 
@@ -289,7 +294,6 @@ def run_replay(n: int, variant: str) -> Dict[str, object]:
 
 VARIANTS = (
     ("legacy", "gateway: legacy per-request stack"),
-    ("per_request", "gateway: current stack, per-request oracle"),
     ("wave", "gateway: current stack, wave admission"),
 )
 
@@ -329,7 +333,7 @@ def run(smoke: bool = False) -> Dict:
                  f"replay (@{ARRIVAL_RATE:,.0f} req/s offered, depth "
                  f"{QUEUE_DEPTH}), pre-PR per-request stack vs batched "
                  "wave admission",
-           notes="all variants make identical admission decisions and "
+           notes="both variants make identical admission decisions and "
                  "write byte-identical journals; equivalence is pinned "
                  "per-fixture by the golden-trace suite")
     path = save_bench_json("gateway_throughput", payload)
@@ -344,7 +348,7 @@ def test_million_request_gateway_speedup():
     payload = run(smoke=False)
     variants = payload["variants"]
     assert payload["journals_identical"], (
-        "legacy / per-request-oracle / wave journals diverged — the fast "
+        "legacy / wave journals diverged — the fast "
         "path changed observable behavior, not just wall clock")
     assert len({(v["served"], v["shed"]) for v in variants.values()}) == 1, (
         f"served/shed counts diverged across variants: "

@@ -9,20 +9,16 @@ This benchmark measures the core the way the router actually drives it — a
 event, O(n) ``__len__``), driven in pre-PR idiom: a ``push`` loop to post,
 ``percentile()`` re-sorting the latency window at every tick.
 
-The current core runs the same workload three ways:
-
-* **fast / calendar** — ``post_many`` arrival waves, a ``batch_action``
-  arrival handler receiving whole same-kind runs as numpy arrays, the
-  calendar-queue scheduler, and :class:`~repro.telemetry.StreamingHistogram`
-  telemetry (O(1) insert, O(bins) quantile);
-* **fast / heap** — identical driver on the reference heap index, isolating
-  how much of the win is batching/slab vs the calendar scheduler;
-* **elastic trace** — the fig11/12-style 20-job simulation end-to-end under
-  both backends, asserting both fire the identical schedule.
+The current core runs the same workload as **fast / calendar** —
+``post_many`` arrival waves, a ``batch_action`` arrival handler receiving
+whole same-kind runs as numpy arrays, the calendar-queue scheduler, and
+:class:`~repro.telemetry.StreamingHistogram` telemetry (O(1) insert,
+O(bins) quantile) — and also times the fig11/12-style 20-job **elastic
+trace** end to end.
 
 Both sides fire the identical ``(time, seq)`` event sequence — equivalence
-is pinned by ``tests/runtime/test_queue_backends.py`` and the golden-trace
-suite; this file is purely about wall clock.  Results persist as
+is pinned by the event-queue tests under ``tests/runtime/`` and the
+golden-trace suite; this file is purely about wall clock.  Results persist as
 ``results/runtime_throughput.txt`` and ``results/BENCH_runtime_throughput
 .json``.  ``--smoke`` runs a small replay with an absolute events/sec floor
 (CI breakage + gross-regression detection).
@@ -36,7 +32,7 @@ import os
 import sys
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -192,10 +188,10 @@ def run_legacy_replay(times: np.ndarray, lats: np.ndarray,
             "events_per_s": processed / wall, "p99": state["p99"]}
 
 
-def run_fast_replay(times: np.ndarray, lats: np.ndarray, tick_every: float,
-                    backend: Optional[str]) -> Dict[str, float]:
+def run_fast_replay(times: np.ndarray, lats: np.ndarray,
+                    tick_every: float) -> Dict[str, float]:
     """Current idiom: one post_many wave, batched dispatch, streaming p99."""
-    rt = Runtime(queue_backend=backend)
+    rt = Runtime()
     hist = StreamingHistogram()
     state = {"i": 0, "p99": 0.0}
 
@@ -221,23 +217,22 @@ def run_fast_replay(times: np.ndarray, lats: np.ndarray, tick_every: float,
 
 
 # --------------------------------------------------------------------------
-# The 20-job elastic trace, end-to-end under both backends.
+# The 20-job elastic trace, end to end.
 # --------------------------------------------------------------------------
 
-def run_elastic_trace(jobs: int, backend: str) -> Dict[str, float]:
+def run_elastic_trace(jobs: int) -> Dict[str, float]:
     specs = generate_trace(jobs, 12.0, seed=0)
     process = TrainingClusterProcess(
         specs, ElasticWFSScheduler(), gpu_budget=8, pool=DevicePool(8))
-    runtime = Runtime(queue_backend=backend)
+    runtime = Runtime()
     t0 = time.perf_counter()
     runtime.add(process)
     runtime.run()
     wall = time.perf_counter() - t0
     result = process.result(total_gpus=8)
-    finish = {job_id: j.finish_time for job_id, j in result.jobs.items()}
     return {"wall_s": wall, "events": runtime.events_processed,
             "events_per_s": runtime.events_processed / wall,
-            "makespan": result.makespan, "finish_times": finish}
+            "makespan": result.makespan}
 
 
 # --------------------------------------------------------------------------
@@ -249,17 +244,13 @@ def run(smoke: bool = False) -> Dict:
     times = _arrival_times(n, ARRIVAL_RATE)
     lats = _latencies(n)
 
-    fast_cal = run_fast_replay(times, lats, TICK_EVERY, "calendar")
-    fast_heap = run_fast_replay(times, lats, TICK_EVERY, "heap")
+    fast_cal = run_fast_replay(times, lats, TICK_EVERY)
     legacy = run_legacy_replay(times, lats, TICK_EVERY)
     speedup = legacy["wall_s"] / fast_cal["wall_s"]
 
     rows = [
         ["replay: legacy heap core", f"{legacy['events']:,}",
          f"{legacy['wall_s']:.2f}", f"{legacy['events_per_s']:,.0f}", "1.00x"],
-        ["replay: fast path, heap index", f"{fast_heap['events']:,}",
-         f"{fast_heap['wall_s']:.2f}", f"{fast_heap['events_per_s']:,.0f}",
-         f"{legacy['wall_s'] / fast_heap['wall_s']:.2f}x"],
         ["replay: fast path, calendar", f"{fast_cal['events']:,}",
          f"{fast_cal['wall_s']:.2f}", f"{fast_cal['events_per_s']:,.0f}",
          f"{speedup:.2f}x"],
@@ -271,37 +262,26 @@ def run(smoke: bool = False) -> Dict:
         "arrival_rate": ARRIVAL_RATE,
         "replay": {
             "legacy_heap": legacy,
-            "fast_heap": fast_heap,
             "fast_calendar": fast_cal,
         },
         "speedup": speedup,
     }
 
     if not smoke:
-        elastic_heap = run_elastic_trace(20, "heap")
-        elastic_cal = run_elastic_trace(20, "calendar")
-        agree = (elastic_heap["makespan"] == elastic_cal["makespan"]
-                 and elastic_heap["finish_times"] == elastic_cal["finish_times"])
-        for label, r in (("elastic 20 jobs: heap", elastic_heap),
-                         ("elastic 20 jobs: calendar", elastic_cal)):
-            rows.append([label, f"{r['events']:,}", f"{r['wall_s']:.2f}",
-                         f"{r['events_per_s']:,.0f}", "-"])
-        payload["elastic"] = {
-            "heap": {k: v for k, v in elastic_heap.items()
-                     if k != "finish_times"},
-            "calendar": {k: v for k, v in elastic_cal.items()
-                         if k != "finish_times"},
-            "backends_agree": agree,
-        }
+        elastic = run_elastic_trace(20)
+        rows.append(["elastic 20 jobs: calendar", f"{elastic['events']:,}",
+                     f"{elastic['wall_s']:.2f}",
+                     f"{elastic['events_per_s']:,.0f}", "-"])
+        payload["elastic"] = {"calendar": elastic}
 
     report("runtime_throughput",
            ["workload", "events", "wall s", "events/s", "speedup"], rows,
            title=f"Event-core throughput: {n:,}-request open-loop replay "
                  f"(@{ARRIVAL_RATE:,.0f} req/s) + telemetry ticks, "
                  "legacy core vs calendar/slab/batched core",
-           notes="all variants fire the identical (time, seq) event "
+           notes="both cores fire the identical (time, seq) event "
                  "sequence; equivalence is pinned by the golden-trace and "
-                 "queue-backend suites")
+                 "event-queue suites")
     path = save_bench_json("runtime_throughput", payload)
     print(f"wrote {os.path.relpath(path, os.getcwd())}")
     return payload
@@ -317,8 +297,6 @@ def test_million_request_replay_speedup():
         f"the legacy heap loop (need >= 5x)")
     assert fast["wall_s"] < 10.0, (
         f"1M-request replay took {fast['wall_s']:.2f}s (need single-digit)")
-    assert payload["elastic"]["backends_agree"], (
-        "heap and calendar backends disagree on the 20-job elastic trace")
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ device pool, the perf-model conditions, and the training/serving/
 co-scheduling consumers.  A :class:`FailureDomainTopology` (device → rack →
 switch tree) unlocks correlated modes — atomic domain wipes and rack-wide
 straggler windows.  Every scenario is deterministic under its seed and
-bit-identical under both queue backends.
+replays bit-identically.
 """
 
 from repro.chaos.degradation import DerateCurve, ECCThrottle, ThermalRamp

@@ -31,6 +31,7 @@ Commands mirror the library's main entry points:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from typing import Dict, Optional, Sequence
@@ -58,7 +59,7 @@ from repro.framework import WORKLOADS, get_workload
 from repro.hardware import Cluster
 from repro.hetero import HeterogeneousSolver
 from repro.profiler import OfflineProfiler
-from repro.runtime import EventTrace, queue_backends
+from repro.runtime import EventTrace
 from repro.sched import GavelSimulator, resident_training_jobs, run_cosched
 from repro.serving import serve_workload
 from repro.utils import format_duration, format_table
@@ -82,7 +83,7 @@ def _parse_device_counts(text: str) -> Dict[str, int]:
 
 
 def _bounded(cast, minimum, exclusive: bool = True):
-    """Argparse type factory: a number with a lower bound.
+    """Argparse type factory: a finite number with a lower bound.
 
     Domain errors on flag values should be usage errors, not tracebacks
     from deep inside the serving stack.
@@ -93,6 +94,9 @@ def _bounded(cast, minimum, exclusive: bool = True):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                f"must be finite, got {text!r}")
         if value < minimum or (exclusive and value == minimum):
             op = ">" if exclusive else ">="
             raise argparse.ArgumentTypeError(f"must be {op} {minimum}, got {value}")
@@ -119,10 +123,6 @@ _nonnegative_int = _bounded(int, 0, exclusive=False)
 
 def _add_runtime_flags(sub_parser: argparse.ArgumentParser) -> None:
     """Event-runtime knobs shared by every discrete-event command."""
-    sub_parser.add_argument(
-        "--queue-backend", choices=queue_backends(), default=None,
-        help="event-queue scheduler (default: calendar; both backends fire "
-             "the identical event order)")
     sub_parser.add_argument(
         "--trace-sample", type=_positive_int, default=1, metavar="N",
         help="journal every Nth event to --trace-out (default 1 = all; the "
@@ -548,8 +548,8 @@ def _cmd_serve(args) -> int:
                 autoscale=args.autoscale,
                 slo_p99=slo if args.autoscale else None,
                 backend=args.backend, seed=args.seed, limit=args.requests,
-                trace=trace, queue_backend=args.queue_backend,
-                tenants=tenants, journal=journal, dispatcher=dispatcher)
+                trace=trace, tenants=tenants, journal=journal,
+                dispatcher=dispatcher)
     finally:
         if isinstance(trace, EventTrace):
             trace.close()
@@ -626,8 +626,7 @@ def _cmd_cosched(args, fault_plan=None, recovery=None,
                 slo_p99=None if args.static else slo,
                 train_floor=args.train_floor, resize_delay=args.resize_delay,
                 backend=args.backend, seed=args.seed, limit=args.requests,
-                trace=trace, queue_backend=args.queue_backend,
-                fault_plan=fault_plan, recovery=recovery,
+                trace=trace, fault_plan=fault_plan, recovery=recovery,
                 retry_delay=retry_delay,
                 admission=admission, topology=topology,
                 tenants=tenants, journal=journal, dispatcher=dispatcher)
@@ -750,10 +749,16 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    import warnings
+
     from repro.serving.gateway import audit_journal
 
     try:
-        audit = audit_journal(args.journal)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            audit = audit_journal(args.journal)
+        for warning in caught:  # a torn final line: audit the prefix
+            print(f"warning: {warning.message}", file=sys.stderr)
     except OSError as exc:
         print(f"error: cannot read journal: {exc}", file=sys.stderr)
         return 2
@@ -830,10 +835,8 @@ def _cmd_simulate(args) -> int:
         trace_out = _make_trace(args) if scheduler.elastic else None
         try:
             metrics = compute_metrics(
-                ClusterSimulator(
-                    args.gpus, scheduler,
-                    queue_backend=args.queue_backend,
-                ).run(trace, trace=trace_out))
+                ClusterSimulator(args.gpus, scheduler).run(
+                    trace, trace=trace_out))
         finally:
             if isinstance(trace_out, EventTrace):
                 trace_out.close()

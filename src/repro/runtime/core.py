@@ -11,16 +11,12 @@ inexpressible.  This is the one event loop both now run on:
 * :class:`EventQueue` — the scheduler.  Events live in **slab storage**
   (:class:`_EventSlab`: preallocated parallel numpy arrays for
   time/seq/liveness plus a free list, addressed by integer handles) so the
-  hot path allocates no per-event heap objects, and are ordered by one of
-  two pluggable index structures with identical ``(time, seq)`` semantics:
+  hot path allocates no per-event heap objects, and are ordered by a
+  **calendar queue**: a bucketed time wheel with a heap for far-future
+  overflow, auto-tuned from the observed event horizon.  O(1) amortized
+  insert, vectorized same-action run extraction.
 
-  - ``"heap"`` — the original binary heap, retained as the **reference
-    oracle**;
-  - ``"calendar"`` — a bucketed time wheel (calendar queue) with a heap
-    for far-future overflow, auto-tuned from the observed event horizon.
-    O(1) amortized insert, vectorized same-action run extraction.
-
-  Cancellation is O(1) in both (ETA invalidation: a completion prediction
+  Cancellation is O(1) (ETA invalidation: a completion prediction
   that a reallocation obsoletes is cancelled in place, not searched for),
   and ``len(queue)`` is an O(1) live counter, not a scan.
 * :class:`Process` — the actor protocol: anything that registers events and
@@ -39,22 +35,21 @@ semantics for ordinary events:
 * :func:`batch_action` marks an action as batch-capable: the runtime then
   dispatches a maximal run of *consecutive* events bound to that same
   callable object with **one** call receiving the ndarray of fire times.
-  The run boundary is pure ``(time, seq)`` order over live events,
-  identical on both backends, so a batch action observes the same events
-  in the same order — only the call granularity changes.
+  The run boundary is pure ``(time, seq)`` order over live events, so a
+  batch action observes the same events in the same order — only the call
+  granularity changes.
 
 Determinism is a contract, not an accident: events at the same timestamp
 fire in the order they were scheduled (``seq`` is a global monotone
 counter), so every run of a fixed seed replays the identical event
-sequence — the golden-trace harness in ``tests/golden`` pins this for
-**both** queue backends.
+sequence — the golden-trace harness in ``tests/golden`` pins this, and a
+property test checks the queue against a sorted ``(time, seq)`` model.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple, Union, runtime_checkable)
 
@@ -69,9 +64,6 @@ __all__ = [
     "Runtime",
     "SimClock",
     "batch_action",
-    "get_default_backend",
-    "queue_backends",
-    "set_default_backend",
 ]
 
 # An event action receives the fire time and may return a dict of fields to
@@ -82,33 +74,6 @@ Action = Callable[..., Optional[Dict[str, Any]]]
 
 _SLOT_BITS = 32
 _SLOT_MASK = (1 << _SLOT_BITS) - 1
-
-_BACKENDS = ("heap", "calendar")
-_DEFAULT_BACKEND = "calendar"
-
-
-def queue_backends() -> Tuple[str, ...]:
-    """The selectable :class:`EventQueue` scheduler backends."""
-    return _BACKENDS
-
-
-def get_default_backend() -> str:
-    """The backend ``EventQueue()`` uses when none is requested.
-
-    The ``REPRO_EVENT_QUEUE`` environment variable overrides the module
-    default (CI uses this to sweep the golden traces across backends).
-    """
-    return os.environ.get("REPRO_EVENT_QUEUE", _DEFAULT_BACKEND)
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default scheduler backend."""
-    global _DEFAULT_BACKEND
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown queue backend {name!r}; "
-                         f"choose from {_BACKENDS}")
-    _DEFAULT_BACKEND = name
-
 
 def batch_action(fn: Action) -> Action:
     """Mark ``fn`` as batch-capable for run-fused dispatch.
@@ -306,88 +271,6 @@ class Event:
                 f"kind={self.kind!r}, actor={self.actor!r}{state})")
 
 
-class _HeapIndex:
-    """The original binary-heap scheduler, kept as the reference oracle.
-
-    Entries are ``(time, seq, slot)`` tuples — ``(time, seq)`` is unique,
-    so the slot never participates in comparisons.  Dead entries (their
-    slot's seq changed: cancelled or already fired) are skipped lazily on
-    pop and compacted wholesale once they outnumber the live ones, so a
-    cancellation storm cannot grow the heap without bound.
-    """
-
-    def __init__(self, slab: _EventSlab) -> None:
-        self._slab = slab
-        self._heap: List[Tuple[float, int, int]] = []
-        self._dead = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def insert(self, time: float, seq: int, slot: int) -> None:
-        heapq.heappush(self._heap, (time, seq, slot))
-
-    def insert_many(self, times: np.ndarray, seq0: int,
-                    slots: np.ndarray) -> None:
-        entries = list(zip(times.tolist(),
-                           range(seq0, seq0 + len(slots)),
-                           slots.tolist()))
-        if len(entries) > max(8, len(self._heap) // 8):
-            self._heap.extend(entries)
-            heapq.heapify(self._heap)
-        else:
-            heap = self._heap
-            for entry in entries:
-                heapq.heappush(heap, entry)
-
-    def note_dead(self) -> None:
-        """A live entry was cancelled in place; compact when dead dominate."""
-        self._dead += 1
-        if self._dead > 64 and self._dead * 2 > len(self._heap):
-            slab_seq = self._slab.seq
-            self._heap = [e for e in self._heap if slab_seq[e[2]] == e[1]]
-            heapq.heapify(self._heap)
-            self._dead = 0
-
-    def peek(self) -> Optional[Tuple[float, int, int]]:
-        heap = self._heap
-        slab_seq = self._slab.seq
-        while heap:
-            entry = heap[0]
-            if slab_seq[entry[2]] == entry[1]:
-                return entry
-            heapq.heappop(heap)
-            self._dead -= 1
-        return None
-
-    def pop(self) -> Optional[Tuple[float, int, int]]:
-        entry = self.peek()
-        if entry is not None:
-            heapq.heappop(self._heap)
-        return entry
-
-    def pop_run(self, until: Optional[float],
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pop the maximal same-action run from the head (see Runtime)."""
-        slab = self._slab
-        head = self.peek()
-        aid0 = slab.aid[head[2]]
-        times: List[float] = []
-        seqs: List[int] = []
-        while True:
-            entry = self.peek()
-            if entry is None:
-                break
-            t, seq, slot = entry
-            if (until is not None and t > until) or slab.aid[slot] != aid0:
-                break
-            heapq.heappop(self._heap)
-            times.append(t)
-            seqs.append(seq)
-            slab.free(slot)
-        return np.asarray(times), np.asarray(seqs, dtype=np.int64)
-
-
 class _CalendarIndex:
     """A calendar queue: bucketed time wheel + far-future overflow heap.
 
@@ -410,9 +293,8 @@ class _CalendarIndex:
     counter forces a rebuild once cancellations dominate, so ETA-
     invalidation storms stay memory-bounded here too.
 
-    Pop order is exactly global ``(time, seq)`` — bit-identical to the
-    heap oracle; the golden traces and the backend-agreement stress tests
-    enforce this.
+    Pop order is exactly global ``(time, seq)``; the golden traces and the
+    sorted-model property test enforce this.
     """
 
     _TARGET_OCC = 128          # events per bucket the autotuner aims for
@@ -450,6 +332,31 @@ class _CalendarIndex:
         """Times at or beyond this go to the overflow heap."""
         return (self._window + self._nbuckets) * self._width
 
+    def _window_of(self, time: float) -> int:
+        """The absolute window holding ``time``.
+
+        That is the ``w`` with ``w * width <= time < (w + 1) * width`` in
+        the same float products the cursor tests use.  ``floor(time /
+        width)`` alone can land one window off at a boundary, which would
+        park the event in a bucket the cursor treats as a later rotation
+        and fire it out of ``(time, seq)`` order.
+        """
+        width = self._width
+        window = math.floor(time / width)
+        if time >= (window + 1) * width:
+            return window + 1
+        if time < window * width:
+            return window - 1
+        return window
+
+    def _buckets_of(self, times: np.ndarray) -> np.ndarray:
+        """Vectorized ``_window_of(t) % nbuckets``."""
+        width = self._width
+        window = np.floor_divide(times, width)
+        window += times >= (window + 1) * width
+        window -= times < window * width
+        return window.astype(np.int64) % self._nbuckets
+
     def _set_window(self, window: int) -> None:
         self._window = window
         self._cursor = window % self._nbuckets
@@ -458,7 +365,7 @@ class _CalendarIndex:
         self._pos = 0
 
     def _position_at(self, time: float) -> None:
-        self._set_window(math.floor(time / self._width))
+        self._set_window(self._window_of(time))
         self._positioned = True
 
     def _unprepare(self) -> None:
@@ -491,7 +398,7 @@ class _CalendarIndex:
             # the event is found first; later entries just get rescanned.
             self._unprepare()
             self._position_at(time)
-        bucket = math.floor(time / self._width) % self._nbuckets
+        bucket = self._window_of(time) % self._nbuckets
         if bucket == self._cursor and self._prep is not None:
             self._unprepare()
         self._buckets[bucket].append(handle)
@@ -517,8 +424,7 @@ class _CalendarIndex:
         horizon = self._horizon()
         near = times < horizon
         if bool(near.any()):
-            idx = (np.floor_divide(times[near], self._width).astype(np.int64)
-                   % self._nbuckets)
+            idx = self._buckets_of(times[near])
             if self._prep is not None and bool((idx == self._cursor).any()):
                 self._unprepare()
             buckets = self._buckets
@@ -603,8 +509,7 @@ class _CalendarIndex:
         near = times < horizon
         near_h = handles[near]
         if len(near_h):
-            idx = (np.floor_divide(times[near], self._width).astype(np.int64)
-                   % nbuckets)
+            idx = self._buckets_of(times[near])
             order = np.argsort(idx, kind="stable")
             counts = np.bincount(idx, minlength=nbuckets)
             parts = np.split(near_h[order], np.cumsum(counts)[:-1])
@@ -653,7 +558,7 @@ class _CalendarIndex:
         horizon = self._horizon()
         while overflow and overflow[0][0] < horizon:
             t, seq, handle = heapq.heappop(overflow)
-            bucket = math.floor(t / self._width) % self._nbuckets
+            bucket = self._window_of(t) % self._nbuckets
             self._buckets[bucket].append(handle)
             self._wheel_count += 1
 
@@ -700,7 +605,7 @@ class _CalendarIndex:
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized maximal same-action run extraction from the head.
 
-        Semantics match the heap oracle exactly: consume live events in
+        Semantics match popping one event at a time: consume live events in
         ``(time, seq)`` order while they share the head's action object
         (dead entries inside the span are invisible, not run breaks) and,
         when ``until`` is given, fire at or before it.
@@ -746,24 +651,15 @@ class _CalendarIndex:
 
 
 class EventQueue:
-    """The scheduler: slab-stored events ordered by a pluggable index.
+    """The scheduler: slab-stored events ordered by a calendar queue.
 
-    ``backend`` selects the index structure — ``"heap"`` (the reference
-    oracle) or ``"calendar"`` (the bucketed time wheel) — defaulting to
-    :func:`get_default_backend`.  Both expose identical semantics:
-    deterministic ``(time, seq)`` ordering, O(1) in-place cancellation,
+    Deterministic ``(time, seq)`` ordering, O(1) in-place cancellation,
     and an O(1) live-event ``len()``.
     """
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        backend = backend if backend is not None else get_default_backend()
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown queue backend {backend!r}; "
-                             f"choose from {_BACKENDS}")
-        self.backend = backend
+    def __init__(self) -> None:
         self._slab = _EventSlab()
-        self._index = (_HeapIndex(self._slab) if backend == "heap"
-                       else _CalendarIndex(self._slab))
+        self._index = _CalendarIndex(self._slab)
         self._seq = 0
 
     def __len__(self) -> int:
@@ -783,8 +679,7 @@ class EventQueue:
         slot = handle & _SLOT_MASK
         event = Event(self, handle, time, seq, kind, actor, action)
         self._slab.facade[slot] = event
-        self._index.insert(time, seq,
-                           slot if self.backend == "heap" else handle)
+        self._index.insert(time, seq, handle)
         return event
 
     def post(self, time: float, action: Action, *, kind: str = "event",
@@ -804,9 +699,7 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         handle = self._slab.alloc(time, seq, (action, kind, actor))
-        self._index.insert(time, seq,
-                           handle & _SLOT_MASK if self.backend == "heap"
-                           else handle)
+        self._index.insert(time, seq, handle)
         return handle
 
     def post_many(self, times: Union[Sequence[float], np.ndarray],
@@ -831,10 +724,7 @@ class EventQueue:
         seq0 = self._seq
         self._seq += len(times)
         handles = self._slab.alloc_many(times, seq0, (action, kind, actor))
-        if self.backend == "heap":
-            self._index.insert_many(times, seq0, handles & _SLOT_MASK)
-        else:
-            self._index.insert_many(times, seq0, handles)
+        self._index.insert_many(times, seq0, handles)
         return handles
 
     # -- handle API ----------------------------------------------------------
@@ -938,16 +828,14 @@ class Runtime:
     :meth:`stop` to end the run early (a co-scheduled run stops when the
     serving trace drains, even though training ETAs remain queued).
 
-    ``queue_backend`` selects the :class:`EventQueue` scheduler (see
-    there); runs are bit-identical across backends.  Runs of consecutive
-    events bound to one :func:`batch_action` dispatch as a single call —
-    the million-events/sec path the throughput benchmark measures.
+    Runs of consecutive events bound to one :func:`batch_action` dispatch
+    as a single call — the million-events/sec path the throughput benchmark
+    measures.
     """
 
-    def __init__(self, trace: Optional[EventTrace] = None,
-                 queue_backend: Optional[str] = None) -> None:
+    def __init__(self, trace: Optional[EventTrace] = None) -> None:
         self.clock = SimClock()
-        self.queue = EventQueue(backend=queue_backend)
+        self.queue = EventQueue()
         self.trace = trace
         self.processes: List[Process] = []
         self._stopped = False

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from contextlib import contextmanager
 from typing import (
     Any,
@@ -249,14 +250,29 @@ def read_trace(path: str) -> list:
     """Load a JSONL timeline back into a list of event dicts.
 
     Metadata lines (``{"meta": ...}``, written by sampled traces) are
-    skipped: the result contains events only.
+    skipped: the result contains events only.  A malformed line raises
+    :class:`ValueError` naming the path and its 1-based line number.  The
+    one exception is an unparsable *final* line with no trailing newline:
+    that is a torn write (the writer died mid-line), so the complete
+    prefix is returned and a :class:`RuntimeWarning` names the torn line.
     """
     events = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
                 record = json.loads(line)
-                if "meta" not in record:
-                    events.append(record)
+            except json.JSONDecodeError as exc:
+                if not raw.endswith("\n"):  # only the last line can lack one
+                    warnings.warn(
+                        f"{path}: line {lineno} is a torn write (no "
+                        f"trailing newline); ignored", RuntimeWarning,
+                        stacklevel=2)
+                    break
+                raise ValueError(f"{path}: line {lineno}: {exc.msg} "
+                                 f"(column {exc.colno})") from None
+            if "meta" not in record:
+                events.append(record)
     return events

@@ -251,7 +251,6 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
                 limit: Optional[int] = None,
                 source: Optional[RequestSource] = None,
                 trace: Optional[Union[str, EventTrace]] = None,
-                queue_backend: Optional[str] = None,
                 fault_plan: Optional[FaultPlan] = None,
                 recovery: Optional[RecoveryPolicy] = None,
                 retry_delay: float = 0.05,
@@ -260,7 +259,6 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
                 tenants: Optional["TenantRegistry"] = None,
                 journal: Optional[Union[str, EventTrace]] = None,
                 dispatcher: str = "wfq",
-                admission_mode: Optional[str] = None,
                 ) -> CoschedReport:
     """Run elastic training jobs and a serving router on one shared pool.
 
@@ -356,13 +354,11 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
         router: RequestRouter = ServingGateway(
             inference, source, tenants, policy=serving_policy, pool=cluster,
             autoscaler=autoscaler, admission=admission, name="router",
-            dispatcher=dispatcher, journal=journal,
-            admission_mode=admission_mode)
+            dispatcher=dispatcher, journal=journal)
     else:
         router = RequestRouter(
             inference, source, policy=serving_policy,
-            pool=cluster, autoscaler=autoscaler, admission=admission,
-            admission_mode=admission_mode)
+            pool=cluster, autoscaler=autoscaler, admission=admission)
 
     # Training tenant: everything the router does not hold.
     training = TrainingClusterProcess(
@@ -385,7 +381,7 @@ def run_cosched(workload_name: str, phases: Sequence[ServingPhase],
             restore_target=None if autoscale else initial_serving)
 
     with open_trace(trace) as writer:
-        runtime = Runtime(trace=writer, queue_backend=queue_backend)
+        runtime = Runtime(trace=writer)
         router.bind(runtime, device_pool=dpool, lease=serving_lease,
                     governor=cosched.grant if autoscale else None,
                     on_rescaled=cosched.notify_rescaled if autoscale else None,

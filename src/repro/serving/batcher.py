@@ -49,8 +49,9 @@ class MicroBatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
+        if not math.isfinite(self.max_wait) or self.max_wait < 0:
+            raise ValueError(
+                f"max_wait must be finite and >= 0, got {self.max_wait}")
 
     def deadline(self, first_arrival: float) -> float:
         """Latest launch time the oldest queued request tolerates."""
@@ -105,10 +106,10 @@ class AdmissionPolicy:
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
-        if self.max_estimated_wait is not None and self.max_estimated_wait <= 0:
+        wait = self.max_estimated_wait
+        if wait is not None and not (math.isfinite(wait) and wait > 0):
             raise ValueError(
-                f"max_estimated_wait must be positive, "
-                f"got {self.max_estimated_wait}")
+                f"max_estimated_wait must be finite and positive, got {wait}")
         if (self.max_queue_depth is None and self.max_estimated_wait is None
                 and not self.brownout):
             raise ValueError("an admission policy needs at least one "

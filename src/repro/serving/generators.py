@@ -41,7 +41,7 @@ _CLOSED_LOOP_DOMAIN = 0x7C
 class ArrivalWave:
     """One admission wave as parallel arrays — no per-request objects.
 
-    The batched admission path consumes arrivals the way the event core
+    The router's admission consumes arrivals the way the event core
     consumes event runs: ``times`` is the ascending arrival-time array,
     request ids are ``first_id + j``, and the payload row for wave offset
     ``j`` is ``bank.row(first_cursor + j)`` — materialized only for the
@@ -52,29 +52,76 @@ class ArrivalWave:
     strings: offset ``j`` belongs to ``tenant_table[tenant_idx[j]]``.
     ``tenant_idx=None`` means every request in the wave belongs to
     ``tenant_table[0]`` (single-stream sources use ``[None]``).
+
+    A source that builds its requests itself (closed-loop clients, or any
+    custom :meth:`RequestSource.take_arrivals`) wraps them with
+    :meth:`of_requests`; ``requests`` then holds them and materializing an
+    offset returns the prebuilt object.
     """
 
     times: np.ndarray
     first_id: int
-    bank: "_ExampleBank"
+    bank: Optional["_ExampleBank"]
     first_cursor: int
     tenant_idx: Optional[np.ndarray] = None
     tenant_table: Sequence[Optional[str]] = (None,)
+    requests: Optional[List[Request]] = None
+
+    @classmethod
+    def of_requests(cls, requests: List[Request]) -> "ArrivalWave":
+        """A wave over already-built requests, in arrival order."""
+        table = tuple(dict.fromkeys(r.tenant for r in requests))
+        idx = None
+        if len(table) > 1:
+            pos = {tenant: k for k, tenant in enumerate(table)}
+            idx = np.array([pos[r.tenant] for r in requests], dtype=np.int64)
+        return cls(times=np.array([r.arrival_time for r in requests],
+                                  dtype=np.float64),
+                   first_id=requests[0].request_id, bank=None,
+                   first_cursor=0, tenant_idx=idx, tenant_table=table,
+                   requests=requests)
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def tenant_of(self, offset: int) -> Optional[str]:
+    def tenants(self, offsets: Sequence[int]) -> List[Optional[str]]:
+        """The tenant of each offset in ``offsets``."""
+        table = self.tenant_table
         if self.tenant_idx is None:
-            return self.tenant_table[0]
-        return self.tenant_table[int(self.tenant_idx[offset])]
+            return [table[0]] * len(offsets)
+        return [table[k] for k in self.tenant_idx[offsets].tolist()]
 
-    def build_request(self, offset: int, arrival: float) -> Request:
-        """Materialize one admitted request (reference for the fast path)."""
-        return Request(request_id=self.first_id + offset,
-                       arrival_time=arrival,
-                       example=self.bank.row(self.first_cursor + offset),
-                       tenant=self.tenant_of(offset))
+    def ids(self, offsets: Sequence[int]) -> List[int]:
+        """The request id of each offset in ``offsets``."""
+        if self.requests is not None:
+            return [self.requests[j].request_id for j in offsets]
+        first = self.first_id
+        return [first + j for j in offsets]
+
+    def build_requests(self, offsets: Optional[Sequence[int]] = None,
+                       ) -> List[Request]:
+        """Materialize the requests at ``offsets`` (default: all), in order.
+
+        Admission calls this for the arrivals it keeps only.
+        """
+        if self.requests is not None:
+            if offsets is None:
+                return list(self.requests)
+            return [self.requests[j] for j in offsets]
+        times = self.times.tolist()
+        if offsets is None:
+            offsets = range(len(times))
+        first, cursor, row = self.first_id, self.first_cursor, self.bank.row
+        if self.tenant_idx is None:
+            tenant = self.tenant_table[0]
+            return [Request(request_id=first + j, arrival_time=times[j],
+                            example=row(cursor + j), tenant=tenant)
+                    for j in offsets]
+        table = self.tenant_table
+        idx = self.tenant_idx.tolist()
+        return [Request(request_id=first + j, arrival_time=times[j],
+                        example=row(cursor + j), tenant=table[idx[j]])
+                for j in offsets]
 
 
 class RequestSource(ABC):
@@ -95,16 +142,17 @@ class RequestSource(ABC):
         """Pop every request arriving at or before ``until``, in order."""
 
     def take_wave(self, until: float) -> Optional[ArrivalWave]:
-        """Pop every request at or before ``until`` as an array wave.
+        """Pop every request at or before ``until`` as a wave (None if none).
 
-        Returns ``None`` when the source cannot serve waves (closed-loop
-        populations, or a subclass that customized :meth:`take_arrivals`)
-        — the router then falls back to the per-request pull, so a wave-
-        incapable source never silently changes semantics.  A returned
-        wave consumes exactly the arrivals (and example-bank rows) the
-        equivalent :meth:`take_arrivals` call would have.
+        The router admits arrivals only through waves.  This default wraps
+        :meth:`take_arrivals` (closed-loop populations, custom subclasses);
+        array-backed sources override it to skip building the requests
+        admission sheds.  Either way a wave consumes exactly the arrivals
+        (and example-bank rows) the equivalent :meth:`take_arrivals` call
+        would have.
         """
-        return None
+        requests = self.take_arrivals(until)
+        return ArrivalWave.of_requests(requests) if requests else None
 
     def on_completion(self, records: Sequence[RequestRecord]) -> None:
         """Hook: a micro-batch completed (closed-loop sources react here)."""
@@ -160,7 +208,7 @@ class OpenLoopPoissonSource(RequestSource):
         # loop (admit waves at high rates are thousands of requests).  The
         # arrival array is sorted, so the cut index equals where the old
         # loop stopped, and float(...) of the same element is bit-identical.
-        end = int(np.searchsorted(self._times, until, side="right"))
+        end = int(self._times.searchsorted(until, side="right"))
         if end <= self._next:
             return []
         bank = self._bank
@@ -173,8 +221,8 @@ class OpenLoopPoissonSource(RequestSource):
 
     def take_wave(self, until: float) -> Optional[ArrivalWave]:
         if type(self).take_arrivals is not OpenLoopPoissonSource.take_arrivals:
-            return None  # a subclass re-defined arrival semantics
-        end = int(np.searchsorted(self._times, until, side="right"))
+            return super().take_wave(until)  # custom arrival semantics
+        end = int(self._times.searchsorted(until, side="right"))
         start = self._next
         if end <= start:
             return None

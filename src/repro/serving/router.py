@@ -23,8 +23,8 @@ the pipeline is busy.  All times are simulated seconds.
 
 The router runs as a process on the shared discrete-event runtime
 (:mod:`repro.runtime`): admission wakes, batch dispatches, completions, and
-rescales are events on the same heap-ordered queue the elastic training
-simulator uses, and the devices the autoscaler steers are held as a
+rescales are events on the same ``(time, seq)``-ordered queue the elastic
+training simulator uses, and the devices the autoscaler steers are held as a
 :class:`~repro.runtime.pool.DevicePool` lease — the pool owns the audited
 device-second accounting, and a co-scheduler can grow the lease out of a
 training job's harvest during a spike.
@@ -83,37 +83,8 @@ from repro.serving.generators import (
 from repro.serving.request import BatchRecord, Request, RequestRecord
 from repro.telemetry import percentile
 
-__all__ = ["ADMISSION_MODES", "RequestRouter", "ServingReport",
-           "capacity_table", "get_default_admission_mode", "ladder_capacity",
-           "serve_workload", "set_default_admission_mode"]
-
-# How arrivals move from the source into the dispatch queue.  ``"wave"``
-# consumes whole :class:`ArrivalWave` arrays with vectorized shed
-# predicates; ``"per_request"`` is the original one-request-at-a-time
-# loop, retained as the reference oracle the way the heap index backs the
-# calendar queue.  Both orders are bit-identical by construction — the
-# golden-trace suite sweeps the flag to prove it.
-ADMISSION_MODES = ("wave", "per_request")
-
-_default_admission_mode = "wave"
-
-# Below this many arrivals a wave takes the reference per-request path:
-# numpy setup costs more than it saves, and routing tiny waves through
-# the oracle keeps the fast path exercised only where it pays.
-_WAVE_MIN = 32
-
-
-def set_default_admission_mode(mode: str) -> None:
-    """Set the process-wide default admission path (see ADMISSION_MODES)."""
-    global _default_admission_mode
-    if mode not in ADMISSION_MODES:
-        raise ValueError(f"unknown admission mode {mode!r}; "
-                         f"choose from {ADMISSION_MODES}")
-    _default_admission_mode = mode
-
-
-def get_default_admission_mode() -> str:
-    return _default_admission_mode
+__all__ = ["RequestRouter", "ServingReport", "capacity_table",
+           "ladder_capacity", "serve_workload"]
 
 
 def capacity_table(workload: Workload, vn_set: VirtualNodeSet, pool: Cluster,
@@ -330,16 +301,9 @@ class RequestRouter:
                  collect_logits: bool = False,
                  name: str = "router",
                  admission: Optional[AdmissionPolicy] = None,
-                 dispatch_queue: Optional[DispatchQueue] = None,
-                 admission_mode: Optional[str] = None) -> None:
+                 dispatch_queue: Optional[DispatchQueue] = None) -> None:
         if autoscaler is not None and pool is None:
             raise ValueError("autoscaling needs a device pool to draw from")
-        if admission_mode is None:
-            admission_mode = _default_admission_mode
-        if admission_mode not in ADMISSION_MODES:
-            raise ValueError(f"unknown admission mode {admission_mode!r}; "
-                             f"choose from {ADMISSION_MODES}")
-        self.admission_mode = admission_mode
         self.inference = inference
         self.source = source
         self.policy = policy
@@ -481,14 +445,12 @@ class RequestRouter:
 
     # -- the event loop -------------------------------------------------------
 
-    def run(self, trace: Optional[Union[str, EventTrace]] = None,
-            queue_backend: Optional[str] = None) -> ServingReport:
+    def run(self,
+            trace: Optional[Union[str, EventTrace]] = None) -> ServingReport:
         """Serve the source dry; return the full accounting.
 
         ``trace`` (a path or an :class:`EventTrace`) journals the event
-        timeline as JSONL — the ``--trace-out`` export.  ``queue_backend``
-        selects the event-queue scheduler for the private runtime
-        (``"heap"`` or ``"calendar"``; both fire the identical order).
+        timeline as JSONL — the ``--trace-out`` export.
 
         Each call is a fresh run with fresh accounting (a second call on a
         drained source returns an empty report, as the pre-runtime loop
@@ -505,7 +467,7 @@ class RequestRouter:
         self._service_estimate = 0.0
         self._runtime = None  # force start() to rebind a fresh pool/lease
         with open_trace(trace) as writer:
-            runtime = Runtime(trace=writer, queue_backend=queue_backend)
+            runtime = Runtime(trace=writer)
             runtime.add(self)
             runtime.run()
         return self.report
@@ -547,138 +509,103 @@ class RequestRouter:
         return MicroBatchPolicy(max_batch=max(1, self.policy.max_batch // 2),
                                 max_wait=self.policy.max_wait / 2)
 
-    def _shed_reason(self, request: Request, depth_limit: Optional[int],
-                     wait_limit: Optional[float]) -> Optional[str]:
-        """The threshold a new arrival trips against the given limits.
-
-        Evaluated entirely from state at the request's arrival: the queue
-        depth it would join, the server backlog at its arrival time, and
-        the last observed batch service time — all deterministic, so the
-        decision replays bit-identically under both queue backends.
-        """
-        if depth_limit is not None and len(self._pending) >= depth_limit:
-            return "depth"
-        if wait_limit is not None and self._service_estimate > 0:
-            backlog = max(0.0, self._server_free - request.arrival_time)
-            batches_ahead = (
-                len(self._pending) // self._policy_now().max_batch + 1)
-            estimate = backlog + batches_ahead * self._service_estimate
-            if estimate > wait_limit:
-                return "wait"
-        return None
-
-    def _should_shed(self, request: Request) -> Optional[str]:
-        """The threshold a new arrival trips, or None to admit it."""
-        policy = self.admission
-        if policy is None:
-            return None
-        return self._shed_reason(request, policy.max_queue_depth,
-                                 policy.max_estimated_wait)
-
-    def _record_shed(self, request: Request, reason: str) -> None:
-        """Account one shed arrival (the gateway adds tenant accounting)."""
-        self.report.shed.append(
-            (request.arrival_time, request.request_id, reason))
-
     def _record_shed_wave(self, times: Sequence[float], ids: Sequence[int],
                           tenants: Sequence[Optional[str]],
                           reasons: Sequence[str]) -> None:
-        """Account a wave's shed arrivals in bulk (same tuples, same order
-        as per-request :meth:`_record_shed` calls would have appended)."""
+        """Account a wave's shed arrivals in arrival order (the gateway
+        adds tenant accounting and journal lines)."""
         self.report.shed.extend(zip(times, ids, reasons))
 
-    def _enqueue(self, requests: Sequence[Request]) -> int:
-        """Queue new arrivals through the admission controller; returns how
-        many were shed.  Crash-requeued requests never pass through here —
-        they go back on the queue front directly (already admitted)."""
-        if self.admission is None:
-            self._pending.extend(requests)
-            return 0
-        shed = 0
-        for r in requests:
-            reason = self._should_shed(r)
-            if reason is None:
-                self._pending.push(r)
-            else:
-                self._record_shed(r, reason)
-                shed += 1
-        return shed
+    def _enqueue_wave(self, wave: ArrivalWave,
+                      bypass: Optional[np.ndarray] = None,
+                      halved: Optional[np.ndarray] = None) -> int:
+        """Admit one arrival wave: queue survivors, record sheds.
 
-    def _enqueue_wave(self, wave: ArrivalWave) -> int:
-        """Admit one arrival wave; returns how many arrivals were shed.
+        The one admission decision, for router and gateway alike.  Without
+        an admission policy everything queues.  Otherwise arrivals are
+        decided in order, each at its own arrival time.  One is shed for
+        ``"depth"`` when the queue it would join already holds the depth
+        limit, else for ``"wait"`` when the server backlog at its arrival
+        plus the queued batches ahead (``depth // max_batch + 1``) times
+        the last observed batch service time exceeds the wait limit (never
+        before a batch has completed).  ``bypass`` marks arrivals
+        admitted unconditionally and ``halved`` marks arrivals facing the
+        brownout-halved limits — the gateway's premium-within-quota and
+        non-premium classes; the plain router passes neither.
 
-        Bit-identical to materializing the wave and feeding it through
-        :meth:`_enqueue`: the admission state (queue depth, server backlog,
-        service estimate, brownout policy) is frozen for the duration of a
-        single admission pull in the reference loop too — nothing inside
-        the loop changes it except the queue depth, which is tracked
-        exactly.  The payoff is that a shed arrival never becomes a
-        :class:`Request` object at all.
+        Only the queue depth changes within a wave (nothing fires between
+        two arrivals of one pull), so everything else is read once.  A shed
+        arrival never becomes a :class:`Request`.  Crash-requeued requests
+        never pass through here — they go back on the queue front directly
+        (already admitted).  Returns the shed count.
         """
-        n = len(wave)
-        if self.admission is None:
-            times = wave.times.tolist()
-            self._pending.push_wave(
-                [wave.build_request(j, t) for j, t in enumerate(times)])
-            return 0
-        if n < _WAVE_MIN:
-            times = wave.times.tolist()
-            return self._enqueue(
-                [wave.build_request(j, t) for j, t in enumerate(times)])
         policy = self.admission
+        if policy is None:
+            self._pending.push_wave(wave.build_requests())
+            return 0
         depth_limit = policy.max_queue_depth
         wait_limit = policy.max_estimated_wait
-        times = wave.times.tolist()
+        estimate = self._service_estimate
+        wait_active = wait_limit is not None and estimate > 0
         depth = len(self._pending)
-        admitted: List[Request] = []
-        shed_t: List[float] = []
-        shed_id: List[int] = []
-        shed_reason: List[str] = []
-        first_id = wave.first_id
-        if wait_limit is None or self._service_estimate <= 0:
-            # Depth-only: within one wave the queue never drains, so the
-            # first ``k`` arrivals admit and everything after sheds.
-            k = n if depth_limit is None else max(0, depth_limit - depth)
-            admitted = [wave.build_request(j, times[j])
-                        for j in range(min(k, n))]
-            if k < n:
-                shed_t = times[k:]
-                shed_id = list(range(first_id + k, first_id + n))
-                shed_reason = ["depth"] * (n - k)
+        if not wait_active and halved is None:
+            if depth_limit is None:
+                self._pending.push_wave(wave.build_requests())
+                return 0
+            # Depth only, one limit: the queue only grows within a wave,
+            # so a non-bypass arrival at offset j admits iff
+            # j < depth_limit - depth (once one sheds, all later ones do).
+            admit = np.arange(len(wave)) < depth_limit - depth
+            if bypass is not None:
+                admit |= bypass
+            admitted = np.flatnonzero(admit).tolist()
+            shed = np.flatnonzero(~admit)
+            shed_t = wave.times[shed].tolist()
+            shed = shed.tolist()
+            reasons = ["depth"] * len(shed)
         else:
-            max_batch = self._policy_now().max_batch
+            bypass_l = None if bypass is None else bypass.tolist()
+            halved_l = None
+            if halved is not None:
+                halved_l = halved.tolist()
+                half_depth = (None if depth_limit is None
+                              else max(1, depth_limit // 2))
+                half_wait = None if wait_limit is None else wait_limit / 2
+            max_batch = self._policy_now().max_batch if wait_active else 1
             server_free = self._server_free
-            estimate = self._service_estimate
-            for j, t in enumerate(times):
-                if depth_limit is not None and depth >= depth_limit:
-                    shed_t.append(t)
-                    shed_id.append(first_id + j)
-                    shed_reason.append("depth")
-                    continue
-                backlog = max(0.0, server_free - t)
-                if backlog + (depth // max_batch + 1) * estimate > wait_limit:
-                    shed_t.append(t)
-                    shed_id.append(first_id + j)
-                    shed_reason.append("wait")
-                    continue
-                admitted.append(wave.build_request(j, t))
+            admitted, shed, shed_t, reasons = [], [], [], []
+            for j, t in enumerate(wave.times.tolist()):
+                if bypass_l is None or not bypass_l[j]:
+                    if halved_l is not None and halved_l[j]:
+                        dl, wl = half_depth, half_wait
+                    else:
+                        dl, wl = depth_limit, wait_limit
+                    reason = None
+                    if dl is not None and depth >= dl:
+                        reason = "depth"
+                    elif wait_active and (
+                            max(0.0, server_free - t)
+                            + (depth // max_batch + 1) * estimate > wl):
+                        reason = "wait"
+                    if reason is not None:
+                        shed.append(j)
+                        shed_t.append(t)
+                        reasons.append(reason)
+                        continue
+                admitted.append(j)
                 depth += 1
         if admitted:
-            self._pending.push_wave(admitted)
-        if shed_id:
-            self._record_shed_wave(
-                shed_t, shed_id,
-                [wave.tenant_of(i - first_id) for i in shed_id], shed_reason)
-        return len(shed_id)
+            self._pending.push_wave(wave.build_requests(admitted))
+        if shed:
+            self._record_shed_wave(shed_t, wave.ids(shed), wave.tenants(shed),
+                                   reasons)
+        return len(shed)
 
     def _pull(self, until: float) -> int:
-        """Move every arrival at or before ``until`` into the queue via the
-        configured admission path; returns how many were shed."""
-        if self.admission_mode == "wave":
-            wave = self.source.take_wave(until)
-            if wave is not None:
-                return self._enqueue_wave(wave)
-        return self._enqueue(self.source.take_arrivals(until))
+        """Move every arrival at or before ``until`` into the queue through
+        admission; returns how many were shed."""
+        wave = self.source.take_wave(until)
+        return 0 if wave is None else self._enqueue_wave(wave)
 
     def _on_admit(self, t: float, cutoff: float) -> Dict[str, object]:
         self._admit_handle = None
@@ -922,7 +849,7 @@ class RequestRouter:
                 # The decision this pull serves is already settled; later
                 # arrivals queue behind it on their own event.
                 return
-            self._enqueue(self.source.take_arrivals(nxt))
+            self._pull(nxt)
 
 
 def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
@@ -937,12 +864,10 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
                    source: Optional[RequestSource] = None,
                    collect_logits: bool = False,
                    trace: Optional[Union[str, EventTrace]] = None,
-                   queue_backend: Optional[str] = None,
                    admission: Optional[AdmissionPolicy] = None,
                    tenants: Optional["TenantRegistry"] = None,
                    journal: Optional[Union[str, EventTrace]] = None,
                    dispatcher: str = "wfq",
-                   admission_mode: Optional[str] = None,
                    ) -> ServingReport:
     """Build and run a complete serving session for a registered workload.
 
@@ -1014,11 +939,10 @@ def serve_workload(workload_name: str, phases: Sequence[ServingPhase], *,
         router: RequestRouter = ServingGateway(
             inference, source, tenants, policy=policy, pool=pool,
             autoscaler=autoscaler, collect_logits=collect_logits,
-            admission=admission, dispatcher=dispatcher, journal=journal,
-            admission_mode=admission_mode)
+            admission=admission, dispatcher=dispatcher, journal=journal)
     else:
         router = RequestRouter(
             inference, source, policy=policy, pool=pool,
             autoscaler=autoscaler, collect_logits=collect_logits,
-            admission=admission, admission_mode=admission_mode)
-    return router.run(trace=trace, queue_backend=queue_backend)
+            admission=admission)
+    return router.run(trace=trace)

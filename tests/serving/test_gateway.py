@@ -237,9 +237,7 @@ class TestMultiTenantPoissonSource:
         oracle = self._source(spec, 1250.0)
         for until in (0.1, 0.25, 0.25, 0.6, float("inf")):
             wave = waves.take_wave(until)
-            got = ([] if wave is None else
-                   [wave.build_request(j, t)
-                    for j, t in enumerate(wave.times.tolist())])
+            got = [] if wave is None else wave.build_requests()
             want = oracle.take_arrivals(until)
             assert [(r.request_id, r.arrival_time, r.tenant) for r in got] \
                 == [(r.request_id, r.arrival_time, r.tenant) for r in want]
@@ -273,20 +271,20 @@ class TestMultiTenantWaveEdgeCases:
             self, monkeypatch):
         source = self._source(monkeypatch, [[0.1, 0.5], [0.1, 0.3, 0.5]])
         wave = source.take_wave(float("inf"))
-        merged = [(wave.times[j], wave.tenant_of(j)) for j in range(len(wave))]
+        merged = list(zip(wave.times.tolist(),
+                          wave.tenants(range(len(wave)))))
         # Ties at 0.1 and 0.5 break in registry order: a before b.
         assert merged == [(0.1, "a"), (0.1, "b"), (0.3, "b"),
                           (0.5, "a"), (0.5, "b")]
         assert wave.first_id == 0
-        requests = [wave.build_request(j, float(wave.times[j]))
-                    for j in range(len(wave))]
+        requests = wave.build_requests()
         assert [r.request_id for r in requests] == list(range(5))
 
     def test_empty_phase_tenant_contributes_nothing(self, monkeypatch):
         source = self._source(monkeypatch, [[], [0.1, 0.2, 0.3]])
         assert source.total_requests == 3
         wave = source.take_wave(float("inf"))
-        assert [wave.tenant_of(j) for j in range(len(wave))] == ["b"] * 3
+        assert wave.tenants(range(len(wave))) == ["b"] * 3
         assert source.take_wave(float("inf")) is None
 
     def test_wave_straddling_until_exactly(self, monkeypatch):
@@ -295,7 +293,7 @@ class TestMultiTenantWaveEdgeCases:
         # An arrival at exactly ``until`` belongs to this wave, not the next.
         wave = source.take_wave(0.2)
         assert wave.times.tolist() == [0.1, 0.2, 0.2]
-        assert [wave.tenant_of(j) for j in range(3)] == ["a", "a", "b"]
+        assert wave.tenants(range(3)) == ["a", "a", "b"]
         assert source.next_arrival_time() == 0.4
         tail = source.take_wave(0.4)
         assert tail.times.tolist() == [0.4]

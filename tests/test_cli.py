@@ -143,6 +143,11 @@ class TestSubcommandParsing:
         ["--virtual-nodes", "0"],
         ["--requests", "0"],
         ["--slo-p99", "0"],
+        ["--max-wait", "nan"],
+        ["--max-wait", "inf"],
+        ["--arrival-rate", "inf"],
+        ["--duration", "nan"],
+        ["--slo-p99", "-inf"],
     ])
     def test_serve_out_of_range_values_rejected(self, extra):
         argv = ["serve", "--workload", "mlp_synthetic"]
@@ -519,6 +524,45 @@ class TestTenancyCommands:
         rc = main(["audit", "--journal", path])
         assert rc == 2
         assert "malformed journal" in capsys.readouterr().err
+
+    def _torn_journal(self, capsys, tmp_path, *, tail: str) -> tuple:
+        """A real journal cut mid-way through line 132, plus ``tail``."""
+        journal = str(tmp_path / "journal.jsonl")
+        assert main(["serve", "--workload", "mlp_synthetic",
+                     "--arrival-rate", "300", "--duration", "1",
+                     "--devices", "2", "--seed", "5",
+                     "--tenants", TENANT_SPEC, "--journal", journal]) == 0
+        capsys.readouterr()
+        with open(journal) as fh:
+            lines = fh.readlines()
+        prefix, torn = lines[:131], lines[131]
+        with open(journal, "w") as fh:
+            fh.write("".join(prefix) + torn[: len(torn) // 2] + tail)
+        return journal, prefix
+
+    def test_audit_torn_final_line_audits_the_prefix(self, capsys, tmp_path):
+        import json
+
+        journal, prefix = self._torn_journal(capsys, tmp_path, tail="")
+        assert main(["audit", "--journal", journal, "--json"]) == 0
+        captured = capsys.readouterr()
+        warning = captured.err.strip().splitlines()
+        assert len(warning) == 1
+        assert "line 132" in warning[0] and "torn" in warning[0]
+        audit = json.loads(captured.out)
+        kinds = [json.loads(line)["kind"] for line in prefix]
+        assert audit["requests"] == kinds.count("request")
+        assert audit["shed"] == kinds.count("shed")
+
+    def test_audit_malformed_inner_line_names_it(self, capsys, tmp_path):
+        # The same cut followed by more lines is corruption, not a torn
+        # write: exit 2, naming the real line (not "line 1 column N").
+        journal, _ = self._torn_journal(
+            capsys, tmp_path, tail='\n{"kind": "shed"}\n')
+        assert main(["audit", "--journal", journal]) == 2
+        err = capsys.readouterr().err
+        assert "malformed journal" in err and "line 132:" in err
+        assert journal in err
 
     def test_cosched_with_tenants_journals_the_shared_runtime(
             self, capsys, tmp_path):
